@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import harness
 from .consolidation import ConsolidationConfig
 from .errors import (
     ConfigError,
@@ -58,15 +57,19 @@ def _add_common(p: argparse.ArgumentParser, engine: bool = True) -> None:
 
 
 def _load_config(path: str | None) -> dict:
+    # any JSON input: --config files, snapshots and reports for inspect
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
-        raise IoFailure(f"cannot read config {path!r}: {exc}") from exc
+        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path!r} does not hold a JSON object")
+    return doc
 
 
 def _parse_question(value):
@@ -104,24 +107,15 @@ def _parse_segments(value):
 def _build_spec(args, *, default_seeds=(0,), require_target=True) -> ExperimentSpec:
     doc = _load_config(args.config)
     cfg_doc = dict(doc.get("cfg", {}))
-    for flag, key in (("k", None), ("m0", "base_target"), ("alpha", "alpha"),
+    for flag, key in (("k", "capacity"), ("m0", "base_target"), ("alpha", "alpha"),
                       ("sigma", "sigma"), ("basis", "basis")):
         value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag == "k":
-            cfg_doc.update(capacity=value, window_size=value, windows_per_fill=1)
-        else:
+        if value is not None:
             cfg_doc[key] = value
     if require_target and ("base_target" not in cfg_doc or "alpha" not in cfg_doc):
         raise ConfigError("experiments must state --m0 and --alpha explicitly "
                           "(or cfg.base_target / cfg.alpha in --config)")
-    if "capacity" in cfg_doc and "window_size" not in cfg_doc:
-        cfg_doc.update(window_size=cfg_doc["capacity"], windows_per_fill=1)
-    try:
-        cfg = ConsolidationConfig(**cfg_doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad cfg field: {exc}") from exc
+    cfg = ConsolidationConfig.from_dict(cfg_doc)
 
     synthetic = None
     if doc.get("synthetic"):
@@ -208,17 +202,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     spec = _build_spec(args)
-    report = run(spec)
+    last = []
+    report = run(spec, _last_pipeline=last)
     _emit(report, args)
-    if args.snapshot and len(report["rows"]) == 1:
-        row = report["rows"][0]
-        if row["accounting"] is not None:
-            frames, question, _ = harness._stream_for(spec, spec.seeds[0])
-            cfg, ltm, reinit = harness._apply_point(spec, {})
-            pipe = harness._run_pipeline(row["policy"], frames, question,
-                                         cfg, ltm, reinit)
-            path, _ = export_pipeline(pipe, os.path.join(args.out, "snapshot.json"))
-            print(path)
+    if args.snapshot and len(report["rows"]) == 1 and last[0] is not None:
+        path, _ = export_pipeline(last[0], os.path.join(args.out, "snapshot.json"))
+        print(path)
     return 0
 
 
@@ -269,8 +258,7 @@ def _cmd_inspect(args) -> int:
               f"max {norms.max():.4f}")
         return 0
     if args.snapshot:
-        with open(args.snapshot, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_config(args.snapshot)
         print(f"snapshot {args.snapshot} kind {doc.get('kind')}")
         entries = doc.get("long", doc).get("entries", [])
         print(f"  long-term entries {len(entries)}")
@@ -285,8 +273,7 @@ def _cmd_inspect(args) -> int:
             print(f"  counters {json.dumps(counters, sort_keys=True)}")
         return 0
     if args.report:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_config(args.report)
         rows = doc.get("rows", [])
         print(f"report {args.report} rows {len(rows)} "
               f"canonical {doc.get('canonical_sha256', '')[:16]}")

@@ -17,7 +17,7 @@ to exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,16 +51,14 @@ QUESTION_SIMILARITIES = ("pooled", "per_token")
 class ConsolidationConfig:
     """Knobs for one consolidation policy.
 
-    capacity is the fill size K; window_size * windows_per_fill must equal it
-    (bookkeeping mirror of the buffer config). base_target is the slot budget
-    for a relevant window, alpha scales it for irrelevant ones, sigma is the
-    strict relevance threshold. Ties in the merge loop always break toward
-    the lowest index; that is part of the contract, not a knob.
+    capacity is the fill size K: every fill is consolidated as one window.
+    base_target is the slot budget for a relevant window, alpha scales it for
+    irrelevant ones, sigma is the strict relevance threshold. Ties in the
+    merge loop always break toward the lowest index; that is part of the
+    contract, not a knob.
     """
 
     capacity: int = 16
-    window_size: int = 16
-    windows_per_fill: int = 1
     base_target: int = 4
     alpha: float = 0.25
     sigma: float = 0.25
@@ -72,10 +70,6 @@ class ConsolidationConfig:
     def __post_init__(self):
         if self.capacity < 1:
             raise InvalidSpec(f"capacity must be >= 1, got {self.capacity}")
-        if self.window_size * self.windows_per_fill != self.capacity:
-            raise InvalidSpec(
-                f"window_size {self.window_size} * windows_per_fill "
-                f"{self.windows_per_fill} != capacity {self.capacity}")
         if not 1 <= self.base_target <= self.capacity:
             raise InvalidSpec(
                 f"base_target must be in [1, {self.capacity}], got {self.base_target}")
@@ -89,6 +83,36 @@ class ConsolidationConfig:
             raise InvalidSpec(
                 f"question_similarity must be one of {QUESTION_SIMILARITIES}, "
                 f"got {self.question_similarity!r}")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ConsolidationConfig":
+        """Build a config from a plain dict (a --config ``cfg`` or a snapshot).
+
+        Unknown keys raise InvalidSpec. Files written before the window
+        knobs were retired may carry window_size and windows_per_fill; they
+        are accepted only when their product equals capacity, then dropped.
+        """
+        doc = dict(doc)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)}
+                         - {"window_size", "windows_per_fill"})
+        if unknown:
+            raise InvalidSpec(f"unknown config keys {unknown}")
+        try:
+            if "window_size" in doc or "windows_per_fill" in doc:
+                capacity = doc.get("capacity", cls.capacity)
+                product = doc.pop("window_size", capacity) * doc.pop("windows_per_fill", 1)
+                if product != capacity:
+                    raise InvalidSpec(
+                        f"legacy window_size * windows_per_fill = {product} "
+                        f"!= capacity {capacity}")
+            return cls(**doc)
+        except TypeError as exc:
+            raise InvalidSpec(f"bad config value: {exc}") from exc
+
+    def to_dict(self) -> dict:
+        """Snapshot form. It still writes the retired window keys (one window
+        per fill), so readers of snapshot version 1 without from_dict load it."""
+        return {**asdict(self), "window_size": self.capacity, "windows_per_fill": 1}
 
     def weak_target(self) -> int:
         """Slot budget for an irrelevant window: round-half-up, clamped."""
@@ -164,6 +188,31 @@ def target_count(score: float, cfg: ConsolidationConfig) -> int:
     return cfg.weak_target()
 
 
+def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):
+    """Merge the most similar adjacent pair of ``work`` until ``target`` remain.
+
+    ``sims[i]`` must hold frame_pair_similarity(work[i], work[i + 1]); both
+    lists are updated in place. Ties go to the lowest index. Returns one
+    (step, merge index, similarity) triple per merge, in order.
+    """
+    trace: list[tuple[int, int, float]] = []
+    while len(work) > target:
+        best = 0
+        for i in range(1, len(sims)):
+            if sims[i] > sims[best]:
+                best = i
+        trace.append((len(trace), best, sims[best]))
+        merged = weighted_merge(work[best], work[best + 1])
+        work[best] = merged
+        del work[best + 1]
+        del sims[best]
+        if best > 0:
+            sims[best - 1] = frame_pair_similarity(work[best - 1], merged)
+        if best < len(sims):
+            sims[best] = frame_pair_similarity(merged, work[best + 1])
+    return trace
+
+
 def greedy_merge(frames: Sequence[WeightedFrame], target: int):
     """Merge adjacent frames until at most ``target`` remain.
 
@@ -176,25 +225,10 @@ def greedy_merge(frames: Sequence[WeightedFrame], target: int):
         raise InvalidTarget(f"target must be >= 1, got {target}")
     work = list(frames)
     input_count = len(work)
-    trace: list[tuple[int, int, float]] = []
+    trace = []
     if len(work) > target:
         sims = [frame_pair_similarity(work[i], work[i + 1]) for i in range(len(work) - 1)]
-        step = 0
-        while len(work) > target:
-            best = 0
-            for i in range(1, len(sims)):
-                if sims[i] > sims[best]:
-                    best = i
-            trace.append((step, best, sims[best]))
-            merged = weighted_merge(work[best], work[best + 1])
-            work[best] = merged
-            del work[best + 1]
-            del sims[best]
-            if best > 0:
-                sims[best - 1] = frame_pair_similarity(work[best - 1], merged)
-            if best < len(sims):
-                sims[best] = frame_pair_similarity(merged, work[best + 1])
-            step += 1
+        trace = _merge_down(work, sims, target)
     report = ConsolidationReport(
         input_count=input_count, relevance=None, relevant=None,
         target=target, trace=tuple(trace))

@@ -212,8 +212,7 @@ def _apply_point(spec: ExperimentSpec, point: dict):
     cfg = spec.cfg
     updates = {}
     if "k" in point:
-        k = int(point["k"])
-        updates.update(capacity=k, window_size=k, windows_per_fill=1)
+        updates.update(capacity=int(point["k"]))
     if "m0" in point:
         updates.update(base_target=int(point["m0"]))
     if "alpha" in point:
@@ -276,11 +275,12 @@ def _run_pipeline(policy: str, frames, question, cfg, ltm_capacity, reinit_mode)
 
 
 def _run_single(spec: ExperimentSpec, policy: str, seed: int, point: dict,
-                frames, question, segments) -> dict:
+                frames, question, segments) -> tuple[dict, Pipeline | None]:
     cfg, ltm_capacity, reinit_mode = _apply_point(spec, point)
     t0 = time.perf_counter()
     counters: dict
     accounting = None
+    pipe = None
     if policy in ("stream_merge", "question_merge"):
         pipe = _run_pipeline(policy, frames, question, cfg, ltm_capacity, reinit_mode)
         retained = list(pipe.long.entries)
@@ -322,19 +322,26 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int, point: dict,
         "token_budget": budget,
         "counters": counters,
         "wall_time_s": wall,
-    }
+    }, pipe
 
 
-def run(spec: ExperimentSpec) -> dict:
-    """One row per (seed, grid point, policy); returns the report dict."""
+def run(spec: ExperimentSpec, *, _last_pipeline: list | None = None) -> dict:
+    """One row per (seed, grid point, policy); returns the report dict.
+
+    ``_last_pipeline``, when given, is left holding the one Pipeline behind
+    the last row (None for a baseline row), for ``mces run --snapshot``.
+    """
     points = _expand_grid(spec)
     rows = []
     for seed in spec.seeds:
         frames, question, segments = _stream_for(spec, seed)
         for point in points:
             for policy in spec.policies:
-                rows.append(_run_single(spec, policy, seed, point,
-                                        frames, question, segments))
+                row, pipe = _run_single(spec, policy, seed, point,
+                                        frames, question, segments)
+                rows.append(row)
+                if _last_pipeline is not None:
+                    _last_pipeline[:] = [pipe]
     return build_report(spec, rows)
 
 

@@ -8,8 +8,8 @@ fresh pushes.
 
 The long-term store appends consolidated frames with strictly increasing
 position ids and, whenever it outgrows its cap, greedily merges the most
-similar adjacent pair (the same rule consolidation uses) until it fits.
-Weight is conserved; nothing is dropped.
+similar adjacent pair until it fits. It runs the very merge loop that
+consolidates a fill. Weight is conserved; nothing is dropped.
 
 Extended positions map indices in [0, n^2) onto an n-row base table: the
 first n indices return base rows bitwise, the rest blend two rows. Blending
@@ -32,7 +32,10 @@ from .errors import (
     SeedTooLarge,
     ShapeMismatch,
 )
-from .frames import WeightedFrame, as_token_matrix, frame_pair_similarity, weighted_merge
+from .consolidation import _merge_down
+from .frames import WeightedFrame, as_token_matrix, frame_pair_similarity
+# unused here; kept only so bench/spans.py can wrap memory.weighted_merge
+from .frames import weighted_merge  # noqa: F401
 
 __all__ = [
     "ShortTermBuffer",
@@ -47,23 +50,15 @@ __all__ = [
 class ShortTermBuffer:
     """Fixed-capacity FIFO of weighted frames with overflow popping.
 
-    ``window_size`` is sliding-window bookkeeping only: capacity must equal
-    window_size * windows_per_fill, and :meth:`windows` groups the current
-    contents accordingly. It never changes overflow behavior.
+    Each popped fill is one window: it is consolidated as a whole.
     """
 
-    def __init__(self, capacity: int, n_tokens: int, dims: int, window_size: int | None = None):
+    def __init__(self, capacity: int, n_tokens: int, dims: int):
         if capacity < 1:
             raise InvalidSpec(f"capacity must be >= 1, got {capacity}")
         if n_tokens < 1 or dims < 1:
             raise InvalidSpec(f"bad frame shape ({n_tokens}, {dims})")
-        window_size = capacity if window_size is None else window_size
-        if window_size < 1 or capacity % window_size != 0:
-            raise InvalidSpec(
-                f"window_size {window_size} must divide capacity {capacity}")
         self.capacity = capacity
-        self.window_size = window_size
-        self.windows_per_fill = capacity // window_size
         self.n_tokens = n_tokens
         self.dims = dims
         self._frames: list[WeightedFrame] = []
@@ -136,12 +131,6 @@ class ShortTermBuffer:
                 raise BufferNotEmpty("restore would exceed capacity")
             self._frames.append(frame)
 
-    def windows(self) -> tuple[tuple[WeightedFrame, ...], ...]:
-        """Current contents grouped into window_size chunks (last may be short)."""
-        c = self.window_size
-        return tuple(
-            tuple(self._frames[i:i + c]) for i in range(0, len(self._frames), c))
-
 
 class LongTermMemory:
     """Append-only consolidated store with greedy adjacent compaction.
@@ -190,13 +179,17 @@ class LongTermMemory:
                 f"entry shape {frame.tokens.shape} != configured "
                 f"({self.n_tokens}, {self.dims})")
 
+    def _push_entry(self, frame: WeightedFrame) -> None:
+        # append one entry and the similarity to its left neighbor
+        self._check_entry(frame)
+        if self._entries:
+            self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
+        self._entries.append(frame)
+
     def append(self, frames: Sequence[WeightedFrame]) -> None:
         """Append consolidated frames in order, then compact if over cap."""
         for frame in frames:
-            self._check_entry(frame)
-            if self._entries:
-                self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
-            self._entries.append(frame)
+            self._push_entry(frame)
             self._position_ids.append(self._next_position_id)
             self._next_position_id += 1
         self.overflow_compact()
@@ -206,22 +199,9 @@ class LongTermMemory:
 
         Ties go to the lowest index. No-op when already within cap.
         """
-        while len(self._entries) > self.capacity:
-            sims = self._pair_sims
-            best = 0
-            for i in range(1, len(sims)):
-                if sims[i] > sims[best]:
-                    best = i
-            merged = weighted_merge(self._entries[best], self._entries[best + 1])
-            self._entries[best] = merged
-            del self._entries[best + 1]
+        for _, best, _ in _merge_down(self._entries, self._pair_sims, self.capacity):
             # left id is the minimum of the merged group
             del self._position_ids[best + 1]
-            del sims[best]
-            if best > 0:
-                sims[best - 1] = frame_pair_similarity(self._entries[best - 1], merged)
-            if best < len(sims):
-                sims[best] = frame_pair_similarity(merged, self._entries[best + 1])
 
     def _restore(self, entries: Sequence[WeightedFrame], position_ids: Sequence[int],
                  next_position_id: int) -> None:
@@ -231,13 +211,9 @@ class LongTermMemory:
         if any(b <= a for a, b in zip(position_ids, position_ids[1:])):
             raise InvalidSpec("position ids must be strictly increasing")
         self._entries = []
-        self._position_ids = []
         self._pair_sims = []
         for frame in entries:
-            self._check_entry(frame)
-            if self._entries:
-                self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
-            self._entries.append(frame)
+            self._push_entry(frame)
         self._position_ids = [int(p) for p in position_ids]
         self._next_position_id = int(next_position_id)
 

@@ -111,8 +111,7 @@ class Pipeline:
         self.cfg = cfg
         self.reinit_mode = reinit_mode
         self.pe_table = pe_table
-        self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims,
-                                     window_size=cfg.window_size)
+        self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims)
         self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
         self.n_tokens = n_tokens
         self.dims = dims

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
 
 import numpy as np
 
@@ -98,7 +97,7 @@ def export_pipeline(pipe: Pipeline, json_path: str,
     doc = {
         "kind": "pipeline_snapshot",
         "snapshot_version": SNAPSHOT_VERSION,
-        "config": asdict(pipe.cfg),
+        "config": pipe.cfg.to_dict(),
         "n_tokens": pipe.n_tokens,
         "dims": pipe.dims,
         "ltm_capacity": pipe.long.capacity,
@@ -174,7 +173,7 @@ def import_pipeline(json_path: str) -> Pipeline:
         raise InvalidSpec(f"{json_path!r} is not a pipeline snapshot")
     if doc.get("snapshot_version") != SNAPSHOT_VERSION:
         raise InvalidSpec(f"unsupported snapshot version {doc.get('snapshot_version')}")
-    cfg = ConsolidationConfig(**doc["config"])
+    cfg = ConsolidationConfig.from_dict(doc["config"])
     question = doc["question"]
     pipe = Pipeline(
         doc["n_tokens"], doc["dims"], cfg,

@@ -20,6 +20,7 @@ infinity outright.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -124,18 +125,15 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
     arbitrarily long streams never materialize. Returns the byte count
     written. Every value is checked finite before it hits the file.
     """
-    frames_arr = None
     if isinstance(frames, np.ndarray):
         if frames.ndim != 3:
             raise ShapeMismatch(f"expected a (T, N, D) array, got shape {frames.shape}")
-        frames_arr = frames
         t, n, d = frames.shape
         if frame_count is not None and frame_count != t:
             raise ShapeMismatch(f"frame_count {frame_count} != array length {t}")
     else:
         if frame_count is None:
             raise InvalidSpec("frame_count is required when frames is an iterable")
-        first = None
         frames = iter(frames)
         try:
             first = next(frames)
@@ -145,7 +143,7 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
         if fa.ndim != 2:
             raise ShapeMismatch(f"expected (N, D) frames, got shape {fa.shape}")
         t, (n, d) = frame_count, fa.shape
-        frames = _chain_first(fa, frames)
+        frames = itertools.chain([fa], frames)
 
     header = StreamHeader(frame_count=t, n_tokens=n, dims=d,
                           has_question=question is not None)
@@ -167,29 +165,20 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
         written = fh.write(header.pack())
         if q32 is not None:
             written += fh.write(q32.tobytes())
-        if frames_arr is not None:
-            for i in range(t):
-                written += fh.write(_as_f32_frame(frames_arr[i], n, d, i).tobytes())
-        else:
-            count = 0
-            for i, frame in enumerate(frames):
-                if i >= t:
-                    raise ShapeMismatch(f"iterable yielded more than {t} frames")
-                written += fh.write(_as_f32_frame(frame, n, d, i).tobytes())
-                count += 1
-            if count != t:
-                raise ShapeMismatch(f"iterable yielded {count} frames, expected {t}")
+        count = 0
+        for i, frame in enumerate(frames):
+            if i >= t:
+                raise ShapeMismatch(f"iterable yielded more than {t} frames")
+            written += fh.write(_as_f32_frame(frame, n, d, i).tobytes())
+            count += 1
+        if count != t:
+            raise ShapeMismatch(f"iterable yielded {count} frames, expected {t}")
     except OSError as exc:
         raise IoFailure(f"write failed: {exc}") from exc
     finally:
         if own:
             fh.close()
     return written
-
-
-def _chain_first(first, rest):
-    yield first
-    yield from rest
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mces import import_pipeline, read_stream, write_stream
+from mces import ConsolidationConfig, Pipeline, import_pipeline, read_stream, write_stream
 from mces.cli import main
 
 
@@ -88,6 +88,31 @@ class TestRun:
         assert snap.exists()
         pipe = import_pipeline(str(snap))
         assert pipe.frames_pushed == 40
+
+    def test_snapshot_exports_the_reported_run(self, tmp_path, monkeypatch):
+        stream = gen(tmp_path)
+        steps = []
+        step = Pipeline.step
+
+        def counted(pipe, frame):
+            steps.append(1)
+            return step(pipe, frame)
+
+        monkeypatch.setattr(Pipeline, "step", counted)
+        assert main(run_args(tmp_path, stream, "--snapshot")) == 0
+        assert len(steps) == 40
+        monkeypatch.undo()
+
+        _, frames, question = read_stream(stream)
+        direct = Pipeline(2, 8, ConsolidationConfig(base_target=4, alpha=0.25),
+                          question=question)
+        direct.run_stream(frames)
+        resumed = import_pipeline(str(tmp_path / "out" / "snapshot.json"))
+        assert resumed.long.position_ids == direct.long.position_ids
+        assert [e.weight for e in resumed.long.entries] == \
+               [e.weight for e in direct.long.entries]
+        assert [e.provenance for e in resumed.long.entries] == \
+               [e.provenance for e in direct.long.entries]
 
     def test_policies_flag(self, tmp_path):
         stream = gen(tmp_path)
@@ -266,6 +291,18 @@ class TestInspect:
         assert "policy=question_merge" in out
         # file streams carry no segment metadata, so the metric is inapplicable
         assert "rmf=n/a" in out
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
+    def test_garbled_json_exit_2(self, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["inspect", flag, str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
+    def test_missing_json_exit_3(self, tmp_path, flag):
+        assert main(["inspect", flag, str(tmp_path / "absent.json")]) == 3
 
     def test_needs_a_target(self, capsys):
         assert main(["inspect"]) == 2

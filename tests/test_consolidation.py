@@ -35,10 +35,23 @@ class TestConfig:
         assert cfg.basis == "mean"
         assert cfg.question_similarity == "pooled"
 
-    def test_window_product_must_match_capacity(self):
-        ConsolidationConfig(capacity=16, window_size=4, windows_per_fill=4)
+    def test_from_dict_accepts_legacy_window_keys_matching_capacity(self):
+        cfg = ConsolidationConfig.from_dict(
+            {"capacity": 16, "window_size": 4, "windows_per_fill": 4})
+        assert cfg == ConsolidationConfig(capacity=16)
+        assert ConsolidationConfig.from_dict({"capacity": 8, "window_size": 8}).capacity == 8
         with pytest.raises(InvalidSpec):
-            ConsolidationConfig(capacity=16, window_size=4, windows_per_fill=3)
+            ConsolidationConfig.from_dict(
+                {"capacity": 16, "window_size": 4, "windows_per_fill": 3})
+        with pytest.raises(InvalidSpec):
+            ConsolidationConfig.from_dict({"capacity": 8, "windows_per_fill": 2})
+
+    def test_from_dict_rejects_unknown_keys_and_bad_types(self):
+        with pytest.raises(InvalidSpec, match="bogus"):
+            ConsolidationConfig.from_dict({"bogus": 1})
+        for bad in ({"capacity": "sixteen"}, {"window_size": None}):
+            with pytest.raises(InvalidSpec):
+                ConsolidationConfig.from_dict(bad)
 
     def test_base_target_bounds(self):
         with pytest.raises(InvalidSpec):
@@ -262,8 +275,7 @@ class TestConsolidate:
 
     def test_report_dict_round_trips_trace(self, rng):
         out, report = consolidate(make_frames(rng, 6, 1, 3), None,
-                                  ConsolidationConfig(capacity=6, window_size=6,
-                                                      base_target=2))
+                                  ConsolidationConfig(capacity=6, base_target=2))
         d = report.to_dict()
         assert d["input_count"] == 6
         assert d["target"] == 2
@@ -277,7 +289,7 @@ class TestConsolidate:
         frames = [WeightedFrame.from_tokens(r.standard_normal((2, 4)), i)
                   for i in range(8)]
         q = r.standard_normal(4)
-        cfg = ConsolidationConfig(capacity=8, window_size=8, base_target=3)
+        cfg = ConsolidationConfig(capacity=8, base_target=3)
         out_a, rep_a = consolidate(frames, q, cfg)
         out_b, rep_b = consolidate(frames, 0.125 * q, cfg)
         assert abs(rep_a.relevance - rep_b.relevance) < 1e-12

@@ -30,13 +30,6 @@ class TestShortTermBuffer:
             ShortTermBuffer(0, 1, 2)
         with pytest.raises(InvalidSpec):
             ShortTermBuffer(4, 0, 2)
-        with pytest.raises(InvalidSpec):
-            ShortTermBuffer(4, 1, 2, window_size=3)
-
-    def test_window_defaults_to_capacity(self):
-        buf = ShortTermBuffer(6, 1, 2)
-        assert buf.window_size == 6
-        assert buf.windows_per_fill == 1
 
     def test_push_pops_only_on_overflow(self, rng):
         buf = ShortTermBuffer(2, 1, 3)
@@ -125,15 +118,6 @@ class TestShortTermBuffer:
         buf = ShortTermBuffer(2, 1, 2)
         with pytest.raises(BufferNotEmpty):
             buf._restore(make_frames(rng, 3, 1, 2))
-
-    def test_windows_grouping(self, rng):
-        buf = ShortTermBuffer(6, 1, 2, window_size=3)
-        assert buf.windows_per_fill == 2
-        for _ in range(5):
-            buf.push(rng.standard_normal((1, 2)))
-        groups = buf.windows()
-        assert [len(g) for g in groups] == [3, 2]
-        assert groups[0] == buf.frames[:3]
 
 
 def replay_appends(batches, capacity):

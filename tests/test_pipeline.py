@@ -204,7 +204,7 @@ class TestLongRun:
         assert pipe.long.total_weight() == 10_000
 
     def test_ltm_compaction_keeps_bound(self, rng):
-        cfg = ConsolidationConfig(capacity=4, window_size=4, base_target=2)
+        cfg = ConsolidationConfig(capacity=4, base_target=2)
         pipe = Pipeline(1, 3, cfg, ltm_capacity=3, reinit_mode="none")
         for i in range(50):
             pipe.step(rng.standard_normal((1, 3)))

@@ -161,6 +161,26 @@ class TestImport:
         with pytest.raises(IoFailure):
             import_pipeline(jp)
 
+    def test_snapshot_format_keeps_legacy_window_keys(self, tmp_path, rng):
+        pipe = Pipeline(2, 4, ConsolidationConfig(capacity=8, base_target=2),
+                        question=Q, ltm_capacity=32)
+        for _ in range(20):
+            pipe.step(rng.standard_normal((2, 4)))
+        jp, _ = export_pipeline(pipe, str(tmp_path / "s.json"))
+        config = json.loads((tmp_path / "s.json").read_text())["config"]
+        # the layout every version-1 snapshot has: one window per fill
+        assert (config["window_size"], config["windows_per_fill"]) == (8, 1)
+        assert_same_state(import_pipeline(jp), pipe, tokens_exact=False)
+
+    @pytest.mark.parametrize("key, value", [("bogus", 1), ("window_size", 4)])
+    def test_bad_config_key_rejected(self, tmp_path, rng, key, value):
+        jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "s.json"))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["config"][key] = value
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpec):
+            import_pipeline(jp)
+
     def test_garbled_json_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(InvalidSpec):
