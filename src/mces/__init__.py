@@ -68,7 +68,6 @@ from .memory import (
 from .consolidation import (
     ConsolidationConfig,
     ConsolidationReport,
-    consolidate,
     greedy_merge,
     relevance_score,
     target_count,
@@ -88,6 +87,7 @@ from .pipeline import (
     AccountingRecord,
     Pipeline,
     VideoRepresentation,
+    consolidate,
 )
 from .snapshot import export_long_term, export_pipeline, import_pipeline
 from .harness import (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 

@@ -37,23 +37,22 @@ REINIT_SHORT = {"merged": "merged_tokens", "last": "last_k",
                 "uniform": "uniform_sample", "none": "none"}
 
 
-def _add_common(p: argparse.ArgumentParser, engine: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment spec; flags override it")
     p.add_argument("--seed", type=int, help="single run seed")
     p.add_argument("--out", default="mces_out", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    if engine:
-        p.add_argument("--stream", help="input stream file")
-        p.add_argument("--question", help="question vector: file or inline floats")
-        p.add_argument("--k", type=int, help="short-term capacity")
-        p.add_argument("--m0", type=int, help="slot budget for a relevant fill")
-        p.add_argument("--alpha", type=float, help="budget scale for irrelevant fills")
-        p.add_argument("--sigma", type=float, help="relevance threshold")
-        p.add_argument("--basis", choices=("mean", "min", "max"))
-        p.add_argument("--reinit", choices=tuple(REINIT_SHORT))
-        p.add_argument("--ltm-cap", type=int, help="long-term capacity")
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--policies", help="comma-separated policy list")
+    p.add_argument("--stream", help="input stream file")
+    p.add_argument("--question", help="question vector: file or inline floats")
+    p.add_argument("--k", type=int, help="short-term capacity")
+    p.add_argument("--m0", type=int, help="slot budget for a relevant fill")
+    p.add_argument("--alpha", type=float, help="budget scale for irrelevant fills")
+    p.add_argument("--sigma", type=float, help="relevance threshold")
+    p.add_argument("--basis", choices=("mean", "min", "max"))
+    p.add_argument("--reinit", choices=tuple(REINIT_SHORT))
+    p.add_argument("--ltm-cap", type=int, help="long-term capacity")
+    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--policies", help="comma-separated policy list")
 
 
 def _load_config(path: str | None) -> dict:
@@ -104,7 +103,7 @@ def _parse_segments(value):
     return segs
 
 
-def _build_spec(args, *, default_seeds=(0,), require_target=True) -> ExperimentSpec:
+def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
     doc = _load_config(args.config)
     cfg_doc = dict(doc.get("cfg", {}))
     for flag, key in (("k", "capacity"), ("m0", "base_target"), ("alpha", "alpha"),
@@ -112,7 +111,7 @@ def _build_spec(args, *, default_seeds=(0,), require_target=True) -> ExperimentS
         value = getattr(args, flag, None)
         if value is not None:
             cfg_doc[key] = value
-    if require_target and ("base_target" not in cfg_doc or "alpha" not in cfg_doc):
+    if "base_target" not in cfg_doc or "alpha" not in cfg_doc:
         raise ConfigError("experiments must state --m0 and --alpha explicitly "
                           "(or cfg.base_target / cfg.alpha in --config)")
     cfg = ConsolidationConfig.from_dict(cfg_doc)

@@ -1,11 +1,12 @@
-"""Question-gated greedy consolidation of a window of frames.
+"""Primitives of question-gated greedy consolidation of a window of frames.
 
 The window's relevance to a question decides how many frames survive: above
 the threshold the window keeps ``base_target`` frames, at or below it the
 budget shrinks to round(alpha * base_target), never under one. Consolidation
 itself repeatedly merges the adjacent pair with the highest tokenwise
 similarity until the budget is met. Order is preserved and weight is
-conserved; nothing is sampled or discarded.
+conserved; nothing is sampled or discarded. The gate that chains these
+primitives, :func:`mces.pipeline.consolidate`, lives with the pipeline.
 
 The merge loop maintains adjacent similarities incrementally. A merge at
 index m only disturbs the pairs (m-1, m) and (m, m+1), and untouched pairs
@@ -17,12 +18,12 @@ to exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidSpec, InvalidTarget, MissingQuestion
+from .errors import EmptyInput, InvalidSpec, InvalidTarget
 from .frames import (
     WeightedFrame,
     cosine,
@@ -40,7 +41,6 @@ __all__ = [
     "relevance_score",
     "target_count",
     "greedy_merge",
-    "consolidate",
 ]
 
 RELEVANCE_BASES = ("mean", "min", "max")
@@ -219,7 +219,7 @@ def greedy_merge(frames: Sequence[WeightedFrame], target: int):
     Each step merges the adjacent pair with the highest tokenwise similarity
     (lowest index on ties) and records (step, index, similarity). Returns
     (frames, report); the report's relevance fields are None here and get
-    filled in by :func:`consolidate`.
+    filled in by :func:`mces.pipeline.consolidate`.
     """
     if target < 1:
         raise InvalidTarget(f"target must be >= 1, got {target}")
@@ -234,28 +234,3 @@ def greedy_merge(frames: Sequence[WeightedFrame], target: int):
         target=target, trace=tuple(trace))
     return work, report
 
-
-def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationConfig):
-    """Gate a window on question relevance, then merge to the gated budget.
-
-    With no question and question_required unset, the window keeps the full
-    base_target budget (question-agnostic mode). Returns (frames, report).
-    """
-    frames = list(frames)
-    if not frames:
-        raise EmptyInput("consolidate over an empty window")
-    if question is None:
-        if cfg.question_required:
-            raise MissingQuestion("configuration requires a question vector")
-        score = None
-        target = cfg.base_target
-    else:
-        score = relevance_score(
-            frames, question, basis=cfg.basis,
-            question_similarity=cfg.question_similarity,
-            exclude_context=cfg.relevance_exclude_context)
-        target = target_count(score, cfg)
-    out, report = greedy_merge(frames, target)
-    report = replace(report, relevance=score,
-                     relevant=None if score is None else score > cfg.sigma)
-    return out, report

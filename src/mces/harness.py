@@ -285,16 +285,8 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int, point: dict,
         pipe = _run_pipeline(policy, frames, question, cfg, ltm_capacity, reinit_mode)
         retained = list(pipe.long.entries)
         accounting = pipe.bytes_model().to_dict()
-        counters = {
-            "frames_pushed": pipe.frames_pushed,
-            "consolidations_run": pipe.consolidations_run,
-            "consolidation_input_total": pipe.consolidation_input_total,
-            "consolidation_output_total": pipe.consolidation_output_total,
-            "seeded_weight_total": pipe.seeded_weight_total,
-            "peak_resident_frames": pipe.peak_resident_frames,
-            "ltm_entries": len(pipe.long),
-            "ltm_total_weight": pipe.long.total_weight(),
-        }
+        counters = {**pipe.counters(), "ltm_entries": len(pipe.long),
+                    "ltm_total_weight": pipe.long.total_weight()}
     elif policy == "no_memory":
         retained = no_memory(frames, spec.sample_count)
         counters = {"retained_frames": len(retained)}

@@ -33,9 +33,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .consolidation import _merge_down
-from .frames import WeightedFrame, as_token_matrix, frame_pair_similarity
-# unused here; kept only so bench/spans.py can wrap memory.weighted_merge
-from .frames import weighted_merge  # noqa: F401
+from .frames import WeightedFrame, frame_pair_similarity
+# unused here; kept only so bench/spans.py can wrap memory.as_token_matrix
+# and memory.weighted_merge
+from .frames import as_token_matrix, weighted_merge  # noqa: F401
 
 __all__ = [
     "ShortTermBuffer",
@@ -88,9 +89,8 @@ class ShortTermBuffer:
         is not part of the popped fill; it becomes the first element of the
         next one. Each push consumes one source index for provenance.
         """
-        tokens = as_token_matrix(frame)
-        self._check_shape(tokens)
-        wrapped = WeightedFrame.from_tokens(tokens, self._next_source_index)
+        wrapped = WeightedFrame.from_tokens(frame, self._next_source_index)
+        self._check_shape(wrapped.tokens)
         self._next_source_index += 1
         if len(self._frames) >= self.capacity:
             popped = self._frames
@@ -118,9 +118,6 @@ class ShortTermBuffer:
         """Remove and return everything currently buffered."""
         frames, self._frames = self._frames, []
         return frames
-
-    def clear(self) -> None:
-        self._frames = []
 
     def _restore(self, frames: Iterable[WeightedFrame]) -> None:
         # requeue already-wrapped frames (no new source indices); used by the

@@ -4,7 +4,8 @@ One Pipeline serves one question (or none). Frames go through the short-term
 buffer; every time it fills, the fill is consolidated under the question
 gate, the result is appended to long-term memory, and the buffer restarts,
 optionally seeded with carried-over context. ``flush`` consolidates whatever
-is left at end of stream with a proportionally scaled budget.
+is left at end of stream with a proportionally scaled budget. Both go
+through :func:`consolidate`, the one gate from a window to its merged frames.
 
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
@@ -16,7 +17,6 @@ bound can be checked against observed behavior.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -30,6 +30,7 @@ from .consolidation import (
     target_count,
 )
 from .errors import (
+    EmptyInput,
     InvalidSpec,
     MissingQuestion,
     NotFlushed,
@@ -42,14 +43,59 @@ from .memory import LongTermMemory, PositionalTable, ShortTermBuffer, assign_pos
 
 __all__ = [
     "REINIT_MODES",
+    "COUNTERS",
     "AccountingRecord",
     "VideoRepresentation",
     "Pipeline",
+    "consolidate",
 ]
 
 REINIT_MODES = ("merged_tokens", "last_k", "uniform_sample", "none")
 
+# Pipeline attributes that snapshots and reports carry, in report order.
+COUNTERS = (
+    "frames_pushed",
+    "consolidations_run",
+    "consolidation_input_total",
+    "consolidation_output_total",
+    "seeded_weight_total",
+    "peak_resident_frames",
+)
+
 BYTES_PER_VALUE = 4
+
+
+def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationConfig,
+                *, _residue: bool = False):
+    """Gate a window on question relevance, then merge to the gated budget.
+
+    With no question and question_required unset, the window keeps the full
+    base_target budget (question-agnostic mode). ``_residue`` marks the
+    end-of-stream residue: its budget is the gated target scaled by its
+    length relative to a full fill, within [1, len]. Returns (frames, report).
+    """
+    frames = list(frames)
+    if not frames:
+        raise EmptyInput("consolidate over an empty window")
+    if question is None:
+        if cfg.question_required:
+            raise MissingQuestion("configuration requires a question vector")
+        score = None
+        target = cfg.base_target
+    else:
+        score = relevance_score(
+            frames, question, basis=cfg.basis,
+            question_similarity=cfg.question_similarity,
+            exclude_context=cfg.relevance_exclude_context)
+        target = target_count(score, cfg)
+    if _residue:
+        # ceil(target * len / capacity) in exact integer arithmetic
+        scaled = -(-target * len(frames) // cfg.capacity)
+        target = min(max(scaled, 1), len(frames))
+    out, report = greedy_merge(frames, target)
+    report = replace(report, relevance=score,
+                     relevant=None if score is None else score > cfg.sigma)
+    return out, report
 
 
 @dataclass(frozen=True)
@@ -131,9 +177,7 @@ class Pipeline:
         if popped is None:
             self._note_resident(0)
             return None
-        out, report = self._consolidate(popped, residual=False)
-        self._note_resident(len(popped) + len(out))
-        self.long.append(out)
+        out, report = self._consolidate(popped, residue=False)
         trigger = self.short.drain()
         seeds = self._pick_seeds(popped, out, report.target)
         self.short.reinit(seeds)
@@ -149,12 +193,10 @@ class Pipeline:
         relative to a full fill, never below one. Returns the report, or
         None when nothing was buffered.
         """
-        residue = self.short.drain()
-        if not residue:
+        window = self.short.drain()
+        if not window:
             return None
-        out, report = self._consolidate(residue, residual=True)
-        self._note_resident(len(residue) + len(out))
-        self.long.append(out)
+        _, report = self._consolidate(window, residue=True)
         self._note_resident(0)
         return report
 
@@ -167,27 +209,19 @@ class Pipeline:
                 reports.append(last)
         return reports
 
-    def _consolidate(self, window: Sequence[WeightedFrame], residual: bool):
-        if self.question is None:
-            score = None
-            target = self.cfg.base_target
-        else:
-            score = relevance_score(
-                window, self.question, basis=self.cfg.basis,
-                question_similarity=self.cfg.question_similarity,
-                exclude_context=self.cfg.relevance_exclude_context)
-            target = target_count(score, self.cfg)
-        if residual:
-            # ceil(target * len / capacity) in exact integer arithmetic
-            scaled = -(-target * len(window) // self.cfg.capacity)
-            target = min(max(scaled, 1), len(window))
-        out, report = greedy_merge(window, target)
-        report = replace(report, relevance=score,
-                         relevant=None if score is None else score > self.cfg.sigma)
+    def _consolidate(self, window: list[WeightedFrame], residue: bool):
+        # gate and merge the window, count it, and bank the result
+        out, report = consolidate(window, self.question, self.cfg, _residue=residue)
         self.consolidations_run += 1
         self.consolidation_input_total += report.input_count
         self.consolidation_output_total += len(out)
+        self._note_resident(len(window) + len(out))
+        self.long.append(out)
         return out, report
+
+    def counters(self) -> dict[str, int]:
+        """The COUNTERS attributes by name, in order."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def _pick_seeds(self, window, consolidated, target):
         if self.reinit_mode == "none":

@@ -20,7 +20,7 @@ from .consolidation import ConsolidationConfig
 from .errors import InvalidSpec, IoFailure, ShapeMismatch
 from .frames import WeightedFrame
 from .memory import LongTermMemory
-from .pipeline import Pipeline
+from .pipeline import COUNTERS, Pipeline
 from .streamio import read_stream, write_stream
 
 __all__ = [
@@ -53,9 +53,18 @@ def _dump(doc: dict, path: str) -> None:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 
 
-def _write_sidecar(path: str, frames) -> None:
-    stack = np.stack([f.tokens for f in frames]).astype("<f4")
-    write_stream(path, stack)
+def _write(doc: dict, json_path: str, sidecar_path: str | None,
+           frames: tuple[WeightedFrame, ...]) -> tuple[str, str | None]:
+    # write the JSON, then the token matrices to a sidecar (none if no frames)
+    if not frames:
+        sidecar_path = None
+    elif sidecar_path is None:
+        sidecar_path = os.path.splitext(json_path)[0] + ".mces"
+    doc["sidecar"] = None if sidecar_path is None else os.path.basename(sidecar_path)
+    _dump(doc, json_path)
+    if sidecar_path is not None:
+        write_stream(sidecar_path, np.stack([f.tokens for f in frames]).astype("<f4"))
+    return json_path, sidecar_path
 
 
 def export_long_term(memory: LongTermMemory, json_path: str,
@@ -66,8 +75,6 @@ def export_long_term(memory: LongTermMemory, json_path: str,
     suffix and is omitted entirely for an empty memory, since the container
     cannot hold zero frames. Returns the paths written.
     """
-    if sidecar_path is None:
-        sidecar_path = os.path.splitext(json_path)[0] + ".mces"
     entries = memory.entries
     doc = {
         "kind": "long_term_snapshot",
@@ -78,20 +85,13 @@ def export_long_term(memory: LongTermMemory, json_path: str,
         "next_position_id": memory.next_position_id,
         "entries": [_frame_meta(e, pid)
                     for e, pid in zip(entries, memory.position_ids)],
-        "sidecar": os.path.basename(sidecar_path) if entries else None,
     }
-    _dump(doc, json_path)
-    if entries:
-        _write_sidecar(sidecar_path, entries)
-        return json_path, sidecar_path
-    return json_path, None
+    return _write(doc, json_path, sidecar_path, entries)
 
 
 def export_pipeline(pipe: Pipeline, json_path: str,
                     sidecar_path: str | None = None) -> tuple[str, str | None]:
     """Write a full pipeline snapshot for later resume."""
-    if sidecar_path is None:
-        sidecar_path = os.path.splitext(json_path)[0] + ".mces"
     long_entries = pipe.long.entries
     short_frames = pipe.short.frames
     doc = {
@@ -103,14 +103,7 @@ def export_pipeline(pipe: Pipeline, json_path: str,
         "ltm_capacity": pipe.long.capacity,
         "reinit_mode": pipe.reinit_mode,
         "question": None if pipe.question is None else [float(v) for v in pipe.question],
-        "counters": {
-            "frames_pushed": pipe.frames_pushed,
-            "consolidations_run": pipe.consolidations_run,
-            "consolidation_input_total": pipe.consolidation_input_total,
-            "consolidation_output_total": pipe.consolidation_output_total,
-            "seeded_weight_total": pipe.seeded_weight_total,
-            "peak_resident_frames": pipe.peak_resident_frames,
-        },
+        "counters": pipe.counters(),
         "long": {
             "next_position_id": pipe.long.next_position_id,
             "entries": [_frame_meta(e, pid)
@@ -120,14 +113,8 @@ def export_pipeline(pipe: Pipeline, json_path: str,
             "next_source_index": pipe.short.next_source_index,
             "frames": [_frame_meta(f) for f in short_frames],
         },
-        "sidecar": (os.path.basename(sidecar_path)
-                    if (long_entries or short_frames) else None),
     }
-    _dump(doc, json_path)
-    if long_entries or short_frames:
-        _write_sidecar(sidecar_path, list(long_entries) + list(short_frames))
-        return json_path, sidecar_path
-    return json_path, None
+    return _write(doc, json_path, sidecar_path, long_entries + short_frames)
 
 
 def _load(json_path: str) -> dict:
@@ -141,7 +128,7 @@ def _load(json_path: str) -> dict:
 
 
 def _sidecar_frames(doc: dict, json_path: str, expected: int):
-    name = doc.get("sidecar")
+    name = _field(doc, "sidecar", (str, type(None)))
     if name is None:
         if expected:
             raise InvalidSpec("snapshot lists frames but names no sidecar")
@@ -154,51 +141,64 @@ def _sidecar_frames(doc: dict, json_path: str, expected: int):
     return [frames[i] for i in range(expected)]
 
 
-def _rebuild_frame(tokens, meta: dict) -> WeightedFrame:
-    return WeightedFrame(
-        tokens=tokens,
-        weight=int(meta["weight"]),
-        provenance=tuple(tuple(iv) for iv in meta["provenance"]),
-        context_flag=bool(meta["context_flag"]),
-    )
+def _field(doc: dict, key: str, kind, where: str = "snapshot"):
+    # doc[key], or InvalidSpec naming the key when it is missing or mistyped
+    if key not in doc:
+        raise InvalidSpec(f"{where} lacks key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise InvalidSpec(f"{where} key {key!r} holds a {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _rebuild_frame(tokens, meta) -> WeightedFrame:
+    try:
+        return WeightedFrame(
+            tokens=tokens,
+            weight=int(meta["weight"]),
+            provenance=tuple(tuple(iv) for iv in meta["provenance"]),
+            context_flag=bool(meta["context_flag"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"bad frame metadata {meta!r}: {exc!r}") from exc
 
 
 def import_pipeline(json_path: str) -> Pipeline:
     """Rebuild a pipeline from :func:`export_pipeline` output.
 
-    The sidecar is looked up next to the JSON file by its recorded name.
+    The sidecar is looked up next to the JSON file by its recorded name. A
+    document that is not a pipeline snapshot, or that lacks or mistypes a
+    key, raises InvalidSpec naming the key.
     """
     doc = _load(json_path)
-    if doc.get("kind") != "pipeline_snapshot":
+    if not isinstance(doc, dict) or doc.get("kind") != "pipeline_snapshot":
         raise InvalidSpec(f"{json_path!r} is not a pipeline snapshot")
     if doc.get("snapshot_version") != SNAPSHOT_VERSION:
         raise InvalidSpec(f"unsupported snapshot version {doc.get('snapshot_version')}")
-    cfg = ConsolidationConfig.from_dict(doc["config"])
-    question = doc["question"]
+    cfg = ConsolidationConfig.from_dict(_field(doc, "config", dict))
+    question = _field(doc, "question", (list, type(None)))
+    if question is not None and not all(isinstance(v, (int, float)) for v in question):
+        raise InvalidSpec("snapshot key 'question' holds a non-number")
     pipe = Pipeline(
-        doc["n_tokens"], doc["dims"], cfg,
+        _field(doc, "n_tokens", int), _field(doc, "dims", int), cfg,
         question=None if question is None else np.asarray(question, dtype=np.float64),
-        ltm_capacity=doc["ltm_capacity"],
-        reinit_mode=doc["reinit_mode"],
+        ltm_capacity=_field(doc, "ltm_capacity", int),
+        reinit_mode=_field(doc, "reinit_mode", str),
     )
-    n_long = len(doc["long"]["entries"])
-    n_short = len(doc["short"]["frames"])
-    matrices = _sidecar_frames(doc, json_path, n_long + n_short)
-    entries = [_rebuild_frame(matrices[i], meta)
-               for i, meta in enumerate(doc["long"]["entries"])]
+    long, short = _field(doc, "long", dict), _field(doc, "short", dict)
+    long_meta = _field(long, "entries", list, "snapshot long")
+    short_meta = _field(short, "frames", list, "snapshot short")
+    matrices = _sidecar_frames(doc, json_path, len(long_meta) + len(short_meta))
+    entries = [_rebuild_frame(matrices[i], meta) for i, meta in enumerate(long_meta)]
     pipe.long._restore(
-        entries,
-        [meta["position_id"] for meta in doc["long"]["entries"]],
-        doc["long"]["next_position_id"])
-    short_frames = [_rebuild_frame(matrices[n_long + i], meta)
-                    for i, meta in enumerate(doc["short"]["frames"])]
-    pipe.short._restore(short_frames)
-    pipe.short._next_source_index = int(doc["short"]["next_source_index"])
-    counters = doc["counters"]
-    pipe.frames_pushed = int(counters["frames_pushed"])
-    pipe.consolidations_run = int(counters["consolidations_run"])
-    pipe.consolidation_input_total = int(counters["consolidation_input_total"])
-    pipe.consolidation_output_total = int(counters["consolidation_output_total"])
-    pipe.seeded_weight_total = int(counters["seeded_weight_total"])
-    pipe.peak_resident_frames = int(counters["peak_resident_frames"])
+        entries, [_field(meta, "position_id", int, "long-term entry") for meta in long_meta],
+        _field(long, "next_position_id", int, "snapshot long"))
+    pipe.short._restore([_rebuild_frame(matrices[len(long_meta) + i], meta)
+                         for i, meta in enumerate(short_meta)])
+    pipe.short._next_source_index = _field(short, "next_source_index", int, "snapshot short")
+    counters = _field(doc, "counters", dict)
+    unknown = sorted(set(counters) - set(COUNTERS))
+    if unknown:
+        raise InvalidSpec(f"snapshot counters has unknown keys {unknown}")
+    for name in COUNTERS:
+        setattr(pipe, name, _field(counters, name, int, "snapshot counters"))
     return pipe

@@ -23,7 +23,7 @@ import io
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 

@@ -72,6 +72,29 @@ class TestShortTermBuffer:
         with pytest.raises(ValueError):
             buf.push(np.array([[np.nan, 0.0]]))
 
+    def test_push_validates_each_frame_once(self, rng, monkeypatch):
+        import mces.frames
+        import mces.memory
+
+        calls = []
+        original = mces.frames.as_token_matrix
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(mces.frames, "as_token_matrix", counting)
+        monkeypatch.setattr(mces.memory, "as_token_matrix", counting)
+        buf = ShortTermBuffer(2, 2, 3)
+        for pushes in range(1, 4):
+            buf.push(rng.standard_normal((2, 3)))
+            assert len(calls) == pushes
+        with pytest.raises(ShapeMismatch):
+            buf.push(rng.standard_normal((2, 4)))
+        # a refused frame is validated once and consumes no source index
+        assert len(calls) == 4
+        assert buf.next_source_index == 3
+
     def test_reinit_requires_empty(self, rng):
         buf = ShortTermBuffer(4, 1, 2)
         buf.push(rng.standard_normal((1, 2)))

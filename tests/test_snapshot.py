@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -179,6 +181,40 @@ class TestImport:
         doc["config"][key] = value
         (tmp_path / "s.json").write_text(json.dumps(doc))
         with pytest.raises(InvalidSpec):
+            import_pipeline(jp)
+
+    @pytest.mark.parametrize("path, value, match", [
+        ((), [], "not a pipeline snapshot"),
+        (("config",), None, "'config'"),
+        (("counters",), None, "'counters'"),
+        (("long",), None, "'long'"),
+        (("short",), None, "'short'"),
+        (("n_tokens",), None, "'n_tokens'"),
+        (("long",), "x", "'long'"),
+        (("question",), ["a", "b", "c", "d"], "'question'"),
+        (("sidecar",), 5, "'sidecar'"),
+        (("short", "frames"), None, "'frames'"),
+        (("long", "entries", 0, "weight"), None, "weight"),
+        (("long", "entries", 0, "position_id"), None, "'position_id'"),
+        (("counters", "bogus"), 1, "bogus"),
+        (("counters", "frames_pushed"), None, "'frames_pushed'"),
+        (("counters", "frames_pushed"), "5", "'frames_pushed'"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, rng, path, value, match):
+        # value None deletes the key at path; an empty path replaces the document
+        jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "s.json"))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        if not path:
+            doc = value
+        else:
+            *parents, key = path
+            owner = functools.reduce(operator.getitem, parents, doc)
+            if value is None:
+                del owner[key]
+            else:
+                owner[key] = value
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpec, match=match):
             import_pipeline(jp)
 
     def test_garbled_json_rejected(self, tmp_path):
