@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from .errors import (
     StreamFormatError,
 )
 from .harness import (
+    PARAMS,
+    VALUE_ALIASES,
     ExperimentSpec,
+    apply_params,
     bench_mem,
     check_gate,
     plant_eval,
@@ -32,10 +36,6 @@ from .harness import (
 )
 from .snapshot import export_pipeline
 from .streamio import SyntheticSpec, generate_synthetic, read_stream, write_stream
-
-REINIT_SHORT = {"merged": "merged_tokens", "last": "last_k",
-                "uniform": "uniform_sample", "none": "none"}
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment spec; flags override it")
@@ -49,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="budget scale for irrelevant fills")
     p.add_argument("--sigma", type=float, help="relevance threshold")
     p.add_argument("--basis", choices=("mean", "min", "max"))
-    p.add_argument("--reinit", choices=tuple(REINIT_SHORT))
+    p.add_argument("--reinit", choices=(*VALUE_ALIASES["reinit"], "none"))
     p.add_argument("--ltm-cap", type=int, help="long-term capacity")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--policies", help="comma-separated policy list")
@@ -71,10 +71,24 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _inputs(args) -> str:
+    return "the flags" if args.config is None else f"{args.config!r} and the flags"
+
+
+@contextmanager
+def _reading(what: str):
+    # malformed JSON shapes or flag text surface as these while an input is
+    # read; report them as a config error naming the input
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc!r}") from exc
+
+
 def _parse_question(value):
-    if value is None:
-        return None
-    if os.path.exists(value):
+    with _reading(f"question {value!r}"):
+        if not os.path.exists(value):
+            return [float(v) for v in value.split(",") if v.strip()]
         if value.endswith(".npy"):
             return [float(v) for v in np.load(value).reshape(-1)]
         if value.endswith(".mces"):
@@ -83,11 +97,10 @@ def _parse_question(value):
                 raise ConfigError(f"{value!r} carries no question vector")
             return [float(v) for v in q]
         with open(value, "r", encoding="utf-8") as fh:
-            return [float(v) for v in json.load(fh)]
-    try:
-        return [float(v) for v in value.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse question {value!r}") from exc
+            doc = json.load(fh)
+        if not isinstance(doc, list):
+            raise ConfigError(f"question {value!r} does not hold a JSON list")
+        return [float(v) for v in doc]
 
 
 def _parse_segments(value):
@@ -96,73 +109,58 @@ def _parse_segments(value):
     for part in value.split(","):
         if not part.strip():
             continue
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ConfigError(f"segment {part!r} is not start:stop:rho")
-        segs.append((int(bits[0]), int(bits[1]), float(bits[2])))
+        try:
+            start, stop, rho = part.split(":")
+            segs.append((int(start), int(stop), float(rho)))
+        except ValueError:
+            raise ConfigError(f"segment {part!r} is not start:stop:rho") from None
     return segs
 
 
 def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
     doc = _load_config(args.config)
-    cfg_doc = dict(doc.get("cfg", {}))
-    for flag, key in (("k", "capacity"), ("m0", "base_target"), ("alpha", "alpha"),
-                      ("sigma", "sigma"), ("basis", "basis")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg_doc[key] = value
-    if "base_target" not in cfg_doc or "alpha" not in cfg_doc:
-        raise ConfigError("experiments must state --m0 and --alpha explicitly "
-                          "(or cfg.base_target / cfg.alpha in --config)")
-    cfg = ConsolidationConfig.from_dict(cfg_doc)
+    with _reading(_inputs(args)):
+        cfg_doc = dict(doc.get("cfg", {}))
+        # flags win over the config's top-level run parameters
+        params = {name: doc[name] for name in ("reinit", "ltm_cap") if name in doc}
+        params.update((name, getattr(args, name)) for name in PARAMS
+                      if getattr(args, name) is not None)
+        if not {"base_target", "alpha"} <= set(cfg_doc) | {PARAMS[n][0] for n in params}:
+            raise ConfigError("experiments must state --m0 and --alpha explicitly "
+                              "(or cfg.base_target / cfg.alpha in --config)")
 
-    synthetic = None
-    if doc.get("synthetic"):
-        raw = dict(doc["synthetic"])
-        raw["segments"] = tuple(tuple(s) for s in raw.get("segments", ()))
-        synthetic = SyntheticSpec(**raw)
-    stream_file = getattr(args, "stream", None) or doc.get("stream")
-    if stream_file is not None:
+        stream_file = args.stream or doc.get("stream")
         synthetic = None
+        if stream_file is None and doc.get("synthetic"):
+            synthetic = SyntheticSpec(**doc["synthetic"])
 
-    question = doc.get("question")
-    q_flag = getattr(args, "question", None)
-    if q_flag is not None:
-        question = _parse_question(q_flag)
-    elif isinstance(question, str):
-        question = _parse_question(question)
+        question = args.question if args.question is not None else doc.get("question")
+        if isinstance(question, str):
+            question = _parse_question(question)
 
-    seeds = doc.get("seeds", list(default_seeds))
-    if getattr(args, "seeds", None):
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if args.seed is not None:
-        seeds = [args.seed]
+        seeds = doc.get("seeds", list(default_seeds))
+        if args.seeds:
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        if args.seed is not None:
+            seeds = [args.seed]
 
-    policies = doc.get("policies", ["question_merge"])
-    if getattr(args, "policies", None):
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+        policies = doc.get("policies", ["question_merge"])
+        if args.policies:
+            policies = [p.strip() for p in args.policies.split(",") if p.strip()]
 
-    reinit = doc.get("reinit", "merged_tokens")
-    if getattr(args, "reinit", None):
-        reinit = REINIT_SHORT[args.reinit]
-    elif reinit in REINIT_SHORT:
-        reinit = REINIT_SHORT[reinit]
-
-    sweep_doc = doc.get("sweep", {})
-    return ExperimentSpec(
-        synthetic=synthetic,
-        stream_file=stream_file,
-        question=question,
-        cfg=cfg,
-        ltm_capacity=getattr(args, "ltm_cap", None) or doc.get("ltm_cap", 256),
-        reinit_mode=reinit,
-        policies=tuple(policies),
-        seeds=tuple(seeds),
-        sweep=tuple((k, tuple(v)) for k, v in sweep_doc.items()),
-        sample_count=doc.get("sample_count", 16),
-        ema_decay=doc.get("ema_decay", 0.5),
-        max_grid_points=doc.get("max_grid_points", 1024),
-    )
+        spec = ExperimentSpec(
+            synthetic=synthetic,
+            stream_file=stream_file,
+            question=question,
+            cfg=ConsolidationConfig.from_dict(cfg_doc),
+            policies=tuple(policies),
+            seeds=tuple(seeds),
+            sweep=tuple(doc.get("sweep", {}).items()),
+            sample_count=doc.get("sample_count", 16),
+            ema_decay=doc.get("ema_decay", 0.5),
+            max_grid_points=doc.get("max_grid_points", 1024),
+        )
+        return apply_params(spec, params)
 
 
 def _formats(args):
@@ -177,21 +175,12 @@ def _emit(report: dict, args) -> None:
 
 def _cmd_gen(args) -> int:
     doc = _load_config(args.config)
-    raw = dict(doc.get("synthetic", {}))
-    if args.t is not None:
-        raw["frame_count"] = args.t
-    if args.n is not None:
-        raw["n_tokens"] = args.n
-    if args.d is not None:
-        raw["dims"] = args.d
-    if args.noise is not None:
-        raw["noise_scale"] = args.noise
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.segments is not None:
-        raw["segments"] = _parse_segments(args.segments)
-    raw["segments"] = tuple(tuple(s) for s in raw.get("segments", ()))
-    spec = SyntheticSpec(**raw)
+    flags = {"frame_count": args.t, "n_tokens": args.n, "dims": args.d,
+             "noise_scale": args.noise, "seed": args.seed,
+             "segments": None if args.segments is None else _parse_segments(args.segments)}
+    with _reading(_inputs(args)):
+        spec = SyntheticSpec(**{**doc.get("synthetic", {}),
+                                **{k: v for k, v in flags.items() if v is not None}})
     frames, question = generate_synthetic(spec)
     out = args.out_file
     write_stream(out, frames, question if args.with_question else None)
@@ -258,34 +247,36 @@ def _cmd_inspect(args) -> int:
         return 0
     if args.snapshot:
         doc = _load_config(args.snapshot)
-        print(f"snapshot {args.snapshot} kind {doc.get('kind')}")
-        entries = doc.get("long", doc).get("entries", [])
-        print(f"  long-term entries {len(entries)}")
-        for meta in entries[: args.limit]:
-            print(f"    id {meta.get('position_id')} weight {meta['weight']} "
-                  f"context {meta['context_flag']} provenance {meta['provenance']}")
-        short = doc.get("short", {}).get("frames", [])
-        if short:
-            print(f"  short-term frames {len(short)}")
-        counters = doc.get("counters")
-        if counters:
-            print(f"  counters {json.dumps(counters, sort_keys=True)}")
+        with _reading(f"snapshot {args.snapshot!r}"):
+            print(f"snapshot {args.snapshot} kind {doc.get('kind')}")
+            entries = doc.get("long", doc).get("entries", [])
+            print(f"  long-term entries {len(entries)}")
+            for meta in entries[: args.limit]:
+                print(f"    id {meta.get('position_id')} weight {meta['weight']} "
+                      f"context {meta['context_flag']} provenance {meta['provenance']}")
+            short = doc.get("short", {}).get("frames", [])
+            if short:
+                print(f"  short-term frames {len(short)}")
+            counters = doc.get("counters")
+            if counters:
+                print(f"  counters {json.dumps(counters, sort_keys=True)}")
         return 0
     if args.report:
         doc = _load_config(args.report)
-        rows = doc.get("rows", [])
-        print(f"report {args.report} rows {len(rows)} "
-              f"canonical {doc.get('canonical_sha256', '')[:16]}")
-        for row in rows[: args.limit]:
-            keys = ("policy", "seed", "diff", "frame_count")
-            bits = [f"{k}={row[k]}" for k in keys if k in row]
-            rel = row.get("relevance") or row.get("aware")
-            if rel:
-                if rel.get("applicable"):
-                    bits.append(f"rmf={rel['relevant_mass_fraction']:.4f}")
-                else:
-                    bits.append("rmf=n/a")
-            print("  " + "  ".join(bits))
+        with _reading(f"report {args.report!r}"):
+            rows = doc.get("rows", [])
+            print(f"report {args.report} rows {len(rows)} "
+                  f"canonical {doc.get('canonical_sha256', '')[:16]}")
+            for row in rows[: args.limit]:
+                keys = ("policy", "seed", "diff", "frame_count")
+                bits = [f"{k}={row[k]}" for k in keys if k in row]
+                rel = row.get("relevance") or row.get("aware")
+                if rel:
+                    if rel.get("applicable"):
+                        bits.append(f"rmf={rel['relevant_mass_fraction']:.4f}")
+                    else:
+                        bits.append("rmf=n/a")
+                print("  " + "  ".join(bits))
         return 0
     raise ConfigError("inspect needs one of --stream, --snapshot, --report")
 

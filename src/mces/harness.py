@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,9 @@ from .pipeline import Pipeline
 from .streamio import SyntheticSpec, generate_synthetic, iter_synthetic, read_stream
 
 __all__ = [
+    "PARAMS",
     "ExperimentSpec",
+    "apply_params",
     "RelevanceMetrics",
     "compute_relevance_metrics",
     "run",
@@ -51,8 +53,34 @@ __all__ = [
 # wall-clock and derived-from-wall-clock fields never enter the canonical form
 VOLATILE_KEYS = frozenset({"wall_time_s", "r_squared", "canonical_sha256"})
 
-SWEEP_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
-SWEEP_KEYS = ("k", "ltm_cap", "m0", "alpha", "sigma", "basis", "reinit")
+# The run parameters that CLI flags, --config keys and sweep axes name, in
+# the order a row's ``params`` echoes them: short name -> (setting, type).
+# A setting is a ConsolidationConfig field, or else an ExperimentSpec field.
+PARAMS = {
+    "k": ("capacity", int),
+    "m0": ("base_target", int),
+    "alpha": ("alpha", float),
+    "sigma": ("sigma", float),
+    "basis": ("basis", str),
+    "reinit": ("reinit_mode", str),
+    "ltm_cap": ("ltm_capacity", int),
+}
+# the paper's buffer-length names for the two capacities
+PARAM_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
+VALUE_ALIASES = {"reinit": {"merged": "merged_tokens", "last": "last_k",
+                            "uniform": "uniform_sample"}}
+_CFG_FIELDS = frozenset(f.name for f in fields(ConsolidationConfig))
+
+
+def _checked(name: str, kind, value):
+    """``kind(value)``, or InvalidSpec naming ``name`` when that would change
+    the value: parse a string, truncate a float or read a bool as a number."""
+    try:
+        if not isinstance(value, bool) and kind(value) == value:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidSpec(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,44 +116,51 @@ class ExperimentSpec:
                 raise InvalidSpec(f"unknown policy {p!r}; known: {POLICY_IDS}")
         if not self.seeds:
             raise InvalidSpec("at least one seed is required")
-        if any(s < 0 for s in self.seeds):
+        seeds = tuple(_checked("seeds", int, s) for s in self.seeds)
+        if any(s < 0 for s in seeds):
             raise InvalidSpec("seeds must be >= 0")
+        _checked("sample_count", int, self.sample_count)
+        _checked("ema_decay", float, self.ema_decay)
         sweep = []
         for key, values in self.sweep:
-            key = SWEEP_ALIASES.get(key, key)
-            if key not in SWEEP_KEYS:
-                raise InvalidSpec(f"unknown sweep axis {key!r}; known: {SWEEP_KEYS}")
+            key = PARAM_ALIASES.get(key, key)
+            if key not in PARAMS:
+                raise InvalidSpec(f"unknown sweep axis {key!r}; known: {tuple(PARAMS)}")
             if not values:
                 raise InvalidSpec(f"sweep axis {key!r} has no values")
             sweep.append((key, tuple(values)))
         object.__setattr__(self, "sweep", tuple(sweep))
         object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
         if self.question is not None:
-            object.__setattr__(self, "question",
-                               tuple(float(v) for v in self.question))
+            question = tuple(float(v) for v in self.question)
+            if not all(math.isfinite(v) for v in question):
+                raise InvalidSpec("question vector is not finite")
+            object.__setattr__(self, "question", question)
 
     def to_dict(self) -> dict:
-        return {
-            "synthetic": None if self.synthetic is None else {
-                "frame_count": self.synthetic.frame_count,
-                "n_tokens": self.synthetic.n_tokens,
-                "dims": self.synthetic.dims,
-                "segments": [list(s) for s in self.synthetic.segments],
-                "noise_scale": self.synthetic.noise_scale,
-                "seed": self.synthetic.seed,
-            },
-            "stream_file": self.stream_file,
-            "question": None if self.question is None else list(self.question),
-            "cfg": asdict(self.cfg),
-            "ltm_capacity": self.ltm_capacity,
-            "reinit_mode": self.reinit_mode,
-            "policies": list(self.policies),
-            "seeds": list(self.seeds),
-            "sweep": {k: list(v) for k, v in self.sweep},
-            "sample_count": self.sample_count,
-            "ema_decay": self.ema_decay,
-        }
+        """JSON form of every field but the grid cap, which shapes no row."""
+        return _plain({**asdict(self), "sweep": dict(self.sweep)},
+                      drop={"max_grid_points"})
+
+
+def apply_params(spec: ExperimentSpec, params: dict) -> ExperimentSpec:
+    """``spec`` with run parameters set by short name (see PARAMS).
+
+    Name and value aliases resolve first; each value must already have its
+    parameter's type. Raises InvalidSpec naming the parameter.
+    """
+    cfg, top = {}, {}
+    for name, value in params.items():
+        short = PARAM_ALIASES.get(name, name)
+        if short not in PARAMS:
+            raise InvalidSpec(f"unknown parameter {name!r}; known: {tuple(PARAMS)}")
+        setting, kind = PARAMS[short]
+        aliases = VALUE_ALIASES.get(short, {})
+        if isinstance(value, str):
+            value = aliases.get(value, value)
+        (cfg if setting in _CFG_FIELDS else top)[setting] = _checked(name, kind, value)
+    return replace(spec, cfg=replace(spec.cfg, **cfg), **top)
 
 
 @dataclass(frozen=True)
@@ -149,12 +184,7 @@ class RelevanceMetrics:
     applicable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "relevant_mass_fraction": self.relevant_mass_fraction,
-            "slot_recall": self.slot_recall,
-            "q_affinity": self.q_affinity,
-            "applicable": self.applicable,
-        }
+        return asdict(self)
 
 
 def _overlap(a_start: int, a_stop: int, b_start: int, b_stop: int) -> int:
@@ -194,50 +224,20 @@ def compute_relevance_metrics(frames: Sequence[WeightedFrame],
 # -- grid handling -------------------------------------------------------
 
 
-def _expand_grid(spec: ExperimentSpec) -> list[dict]:
-    if not spec.sweep:
-        points = [{}]
-    else:
-        keys = [k for k, _ in spec.sweep]
-        points = [dict(zip(keys, combo))
-                  for combo in itertools.product(*(v for _, v in spec.sweep))]
-    total = len(points) * len(spec.policies) * len(spec.seeds)
+def _grid(spec: ExperimentSpec) -> list[ExperimentSpec]:
+    """One spec per sweep point, every point checked before any row runs."""
+    keys = [k for k, _ in spec.sweep]
+    combos = list(itertools.product(*(v for _, v in spec.sweep)))
+    total = len(combos) * len(spec.policies) * len(spec.seeds)
     if total > spec.max_grid_points:
         raise GridTooLarge(
             f"{total} rows exceed the cap of {spec.max_grid_points}")
-    return points
+    return [apply_params(spec, dict(zip(keys, combo))) for combo in combos]
 
 
-def _apply_point(spec: ExperimentSpec, point: dict):
-    cfg = spec.cfg
-    updates = {}
-    if "k" in point:
-        updates.update(capacity=int(point["k"]))
-    if "m0" in point:
-        updates.update(base_target=int(point["m0"]))
-    if "alpha" in point:
-        updates.update(alpha=float(point["alpha"]))
-    if "sigma" in point:
-        updates.update(sigma=float(point["sigma"]))
-    if "basis" in point:
-        updates.update(basis=str(point["basis"]))
-    if updates:
-        cfg = replace(cfg, **updates)
-    ltm_capacity = int(point.get("ltm_cap", spec.ltm_capacity))
-    reinit_mode = str(point.get("reinit", spec.reinit_mode))
-    return cfg, ltm_capacity, reinit_mode
-
-
-def _params_echo(cfg: ConsolidationConfig, ltm_capacity: int, reinit_mode: str) -> dict:
-    return {
-        "k": cfg.capacity,
-        "m0": cfg.base_target,
-        "alpha": cfg.alpha,
-        "sigma": cfg.sigma,
-        "basis": cfg.basis,
-        "reinit": reinit_mode,
-        "ltm_cap": ltm_capacity,
-    }
+def _params_echo(spec: ExperimentSpec) -> dict:
+    return {name: getattr(spec.cfg if setting in _CFG_FIELDS else spec, setting)
+            for name, (setting, _) in PARAMS.items()}
 
 
 # -- drivers -------------------------------------------------------------
@@ -257,58 +257,52 @@ def _stream_for(spec: ExperimentSpec, seed: int):
     return frames, question, segments
 
 
-def _run_pipeline(policy: str, frames, question, cfg, ltm_capacity, reinit_mode) -> Pipeline:
-    if policy == "question_merge":
-        if question is None:
-            raise MissingQuestion("question_merge needs a question vector")
-        q = question
-    else:
+def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeline:
+    cfg = spec.cfg
+    if policy == "question_merge" and question is None:
+        raise MissingQuestion("question_merge needs a question vector")
+    if policy == "stream_merge":
         # stream_merge ignores the question by definition
-        q = None
+        question = None
         cfg = replace(cfg, question_required=False)
-    pipe = Pipeline(frames[0].shape[0], frames[0].shape[1], cfg,
-                    question=q, ltm_capacity=ltm_capacity, reinit_mode=reinit_mode)
-    for i in range(len(frames)):
-        pipe.step(frames[i])
-    pipe.flush()
+    pipe = Pipeline(frames[0].shape[0], frames[0].shape[1], cfg, question=question,
+                    ltm_capacity=spec.ltm_capacity, reinit_mode=spec.reinit_mode)
+    pipe.run_stream(frames)
     return pipe
 
 
-def _run_single(spec: ExperimentSpec, policy: str, seed: int, point: dict,
+# policy -> (spec, frames) -> retained frames, for every policy but the pipeline's
+BASELINES = {
+    "no_memory": lambda spec, frames: no_memory(frames, spec.sample_count),
+    "spatial_pool": lambda spec, frames: spatial_pool(frames),
+    "temporal_pool": lambda spec, frames: [temporal_pool(frames)],
+    "ema": lambda spec, frames: [ema(frames, spec.ema_decay)],
+}
+
+
+def _run_single(spec: ExperimentSpec, policy: str, seed: int,
                 frames, question, segments) -> tuple[dict, Pipeline | None]:
-    cfg, ltm_capacity, reinit_mode = _apply_point(spec, point)
     t0 = time.perf_counter()
-    counters: dict
-    accounting = None
-    pipe = None
-    if policy in ("stream_merge", "question_merge"):
-        pipe = _run_pipeline(policy, frames, question, cfg, ltm_capacity, reinit_mode)
+    accounting = pipe = None
+    if policy in BASELINES:
+        retained = BASELINES[policy](spec, frames)
+        counters = {"retained_frames": len(retained)}
+    else:
+        pipe = _run_pipeline(policy, frames, question, spec)
         retained = list(pipe.long.entries)
         accounting = pipe.bytes_model().to_dict()
         counters = {**pipe.counters(), "ltm_entries": len(pipe.long),
                     "ltm_total_weight": pipe.long.total_weight()}
-    elif policy == "no_memory":
-        retained = no_memory(frames, spec.sample_count)
-        counters = {"retained_frames": len(retained)}
-    elif policy == "spatial_pool":
-        retained = spatial_pool(frames)
-        counters = {"retained_frames": len(retained)}
-    elif policy == "temporal_pool":
-        retained = [temporal_pool(frames)]
-        counters = {"retained_frames": 1}
-    else:
-        retained = [ema(frames, spec.ema_decay)]
-        counters = {"retained_frames": 1}
     wall = time.perf_counter() - t0
     metrics = compute_relevance_metrics(retained, segments, question)
     budget = token_budget(policy, frame_count=len(frames),
                           n_tokens=frames[0].shape[0],
                           sample_count=spec.sample_count,
-                          ltm_capacity=ltm_capacity)
+                          ltm_capacity=spec.ltm_capacity)
     return {
         "policy": policy,
         "seed": seed,
-        "params": _params_echo(cfg, ltm_capacity, reinit_mode),
+        "params": _params_echo(spec),
         "relevance": metrics.to_dict(),
         "accounting": accounting,
         "token_budget": budget,
@@ -323,13 +317,13 @@ def run(spec: ExperimentSpec, *, _last_pipeline: list | None = None) -> dict:
     ``_last_pipeline``, when given, is left holding the one Pipeline behind
     the last row (None for a baseline row), for ``mces run --snapshot``.
     """
-    points = _expand_grid(spec)
+    points = _grid(spec)
     rows = []
     for seed in spec.seeds:
         frames, question, segments = _stream_for(spec, seed)
         for point in points:
             for policy in spec.policies:
-                row, pipe = _run_single(spec, policy, seed, point,
+                row, pipe = _run_single(point, policy, seed,
                                         frames, question, segments)
                 rows.append(row)
                 if _last_pipeline is not None:
@@ -353,19 +347,15 @@ def plant_eval(spec: ExperimentSpec, min_wins: int | None = None) -> dict:
             raise InvalidSpec("plant_eval needs at least one segment with rho >= 0.6")
         if spec.cfg.alpha >= 1.0:
             raise InvalidSpec("question-aware config needs alpha < 1")
-    agnostic_cfg = replace(spec.cfg, alpha=1.0)
+    agnostic_spec = apply_params(spec, {"alpha": 1.0})
     rows = []
     wins = 0
     diffs = []
     for seed in spec.seeds:
         frames, question, segs = _stream_for(spec, seed)
-        if question is None:
-            raise MissingQuestion("plant_eval needs a question vector")
         t0 = time.perf_counter()
-        aware = _run_pipeline("question_merge", frames, question, spec.cfg,
-                              spec.ltm_capacity, spec.reinit_mode)
-        agnostic = _run_pipeline("question_merge", frames, question, agnostic_cfg,
-                                 spec.ltm_capacity, spec.reinit_mode)
+        aware = _run_pipeline("question_merge", frames, question, spec)
+        agnostic = _run_pipeline("question_merge", frames, question, agnostic_spec)
         wall = time.perf_counter() - t0
         m_aware = compute_relevance_metrics(aware.long.entries, segs, question)
         m_agnostic = compute_relevance_metrics(agnostic.long.entries, segs, question)
@@ -405,17 +395,13 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
         raise InvalidSpec("bench_mem needs a synthetic stream template")
     rows = []
     for t in t_list:
-        if t < 1:
-            raise InvalidSpec(f"stream length must be >= 1, got {t}")
         sspec = replace(spec.synthetic, frame_count=int(t))
         _, lazy = iter_synthetic(sspec)
         pipe = Pipeline(sspec.n_tokens, sspec.dims, spec.cfg,
                         question=None, ltm_capacity=spec.ltm_capacity,
                         reinit_mode="none")
         t0 = time.perf_counter()
-        for frame in lazy:
-            pipe.step(frame)
-        pipe.flush()
+        pipe.run_stream(lazy)
         wall = time.perf_counter() - t0
         record = pipe.bytes_model()
         raw = record.raw_bytes_per_frame
@@ -482,18 +468,18 @@ def _build_hash() -> str:
     return digest.hexdigest()[:16]
 
 
-def _strip_volatile(node):
+def _plain(node, drop):
+    # node with tuples as lists and the keys in drop left out, at every depth
     if isinstance(node, dict):
-        return {k: _strip_volatile(v) for k, v in node.items()
-                if k not in VOLATILE_KEYS}
+        return {k: _plain(v, drop) for k, v in node.items() if k not in drop}
     if isinstance(node, (list, tuple)):
-        return [_strip_volatile(v) for v in node]
+        return [_plain(v, drop) for v in node]
     return node
 
 
 def canonical_report_bytes(report: dict) -> bytes:
     """Deterministic byte form: volatile fields out, keys sorted, compact."""
-    return json.dumps(_strip_volatile(report), sort_keys=True,
+    return json.dumps(_plain(report, VOLATILE_KEYS), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 

@@ -141,7 +141,7 @@ class LongTermMemory:
 
     def __init__(self, capacity: int, n_tokens: int | None = None, dims: int | None = None):
         if capacity < 1:
-            raise InvalidSpec(f"capacity must be >= 1, got {capacity}")
+            raise InvalidSpec(f"long-term capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.n_tokens = n_tokens
         self.dims = dims

@@ -17,7 +17,7 @@ bound can be checked against observed behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,11 +105,7 @@ class AccountingRecord:
     peak_resident_bytes: int
 
     def to_dict(self) -> dict:
-        return {
-            "raw_bytes_per_frame": self.raw_bytes_per_frame,
-            "amortized_bytes_per_frame": self.amortized_bytes_per_frame,
-            "peak_resident_bytes": self.peak_resident_bytes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -151,6 +147,8 @@ class Pipeline:
             q = np.asarray(question, dtype=np.float64)
             if q.ndim != 1 or q.shape[0] != dims:
                 raise InvalidSpec(f"question shape {q.shape} does not match dims {dims}")
+            if not np.isfinite(q).all():
+                raise InvalidSpec("question vector is not finite")
             if float(np.linalg.norm(q)) < NORM_FLOOR:
                 raise ZeroNorm("question vector has near-zero norm")
             self.question = q
@@ -171,13 +169,25 @@ class Pipeline:
     # -- streaming -------------------------------------------------------
 
     def step(self, frame) -> ConsolidationReport | None:
-        """Push one frame; returns the consolidation report if one fired."""
+        """Push one frame; returns the consolidation report if one fired.
+
+        If consolidating the fill raises, the frame is refused and the fill
+        stays buffered: the pipeline is as it was before the call.
+        """
         popped = self.short.push(frame)
         self.frames_pushed += 1
         if popped is None:
             self._note_resident(0)
             return None
-        out, report = self._consolidate(popped, residue=False)
+        try:
+            out, report = consolidate(popped, self.question, self.cfg)
+        except BaseException:
+            self.short.drain()
+            self.short._restore(popped)
+            self.short._next_source_index -= 1
+            self.frames_pushed -= 1
+            raise
+        self._bank(popped, out)
         trigger = self.short.drain()
         seeds = self._pick_seeds(popped, out, report.target)
         self.short.reinit(seeds)
@@ -191,12 +201,18 @@ class Pipeline:
 
         The residue's slot budget is the gated target scaled by its length
         relative to a full fill, never below one. Returns the report, or
-        None when nothing was buffered.
+        None when nothing was buffered. If consolidating raises, the residue
+        stays buffered.
         """
         window = self.short.drain()
         if not window:
             return None
-        _, report = self._consolidate(window, residue=True)
+        try:
+            out, report = consolidate(window, self.question, self.cfg, _residue=True)
+        except BaseException:
+            self.short._restore(window)
+            raise
+        self._bank(window, out)
         self._note_resident(0)
         return report
 
@@ -209,15 +225,13 @@ class Pipeline:
                 reports.append(last)
         return reports
 
-    def _consolidate(self, window: list[WeightedFrame], residue: bool):
-        # gate and merge the window, count it, and bank the result
-        out, report = consolidate(window, self.question, self.cfg, _residue=residue)
+    def _bank(self, window: list[WeightedFrame], out: list[WeightedFrame]) -> None:
+        # count a consolidated window and append its result to long-term memory
         self.consolidations_run += 1
-        self.consolidation_input_total += report.input_count
+        self.consolidation_input_total += len(window)
         self.consolidation_output_total += len(out)
         self._note_resident(len(window) + len(out))
         self.long.append(out)
-        return out, report
 
     def counters(self) -> dict[str, int]:
         """The COUNTERS attributes by name, in order."""

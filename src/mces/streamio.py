@@ -181,15 +181,16 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
     return written
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
+def _read_exact(fh, size: int, what: str) -> bytearray:
+    # read into one writable buffer, so the caller can view it without a copy
+    buf = bytearray(size)
     try:
-        raw = fh.read(size)
+        got = fh.readinto(buf) or 0
     except OSError as exc:
         raise IoFailure(f"read failed: {exc}") from exc
-    if raw is None or len(raw) < size:
-        got = 0 if raw is None else len(raw)
+    if got < size:
         raise Truncated(f"stream ends inside {what}: wanted {size} bytes, got {got}")
-    return raw
+    return buf
 
 
 def read_stream(source):
@@ -212,12 +213,12 @@ def read_stream(source):
         question = None
         if header.has_question:
             raw = _read_exact(fh, header.dims * 4, "question vector")
-            question = np.frombuffer(raw, dtype=_F32).copy()
+            question = np.frombuffer(raw, dtype=_F32)
             if not np.isfinite(question).all():
                 raise NonFiniteValue("question vector is not finite")
         payload = _read_exact(fh, header.frame_count * header.frame_bytes(), "frame payload")
         frames = np.frombuffer(payload, dtype=_F32).reshape(
-            header.frame_count, header.n_tokens, header.dims).copy()
+            header.frame_count, header.n_tokens, header.dims)
         finite = np.isfinite(frames)
         if not finite.all():
             flat = int(np.argmax(~finite.reshape(-1)))

@@ -19,6 +19,18 @@ def gen(tmp_path, name="s.mces", extra=()):
     return path
 
 
+def write_config(tmp_path, **overrides):
+    config = {
+        "synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
+        "cfg": {"base_target": 4, "alpha": 0.25},
+        "policies": ["stream_merge"],
+    }
+    config.update(overrides)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 def run_args(tmp_path, stream, *extra):
     return ["run", "--stream", stream, "--m0", "4", "--alpha", "0.25",
             "--out", str(tmp_path / "out"), *extra]
@@ -134,6 +146,13 @@ class TestRun:
         rc = main(run_args(tmp_path, stream, "--question", qpath))
         assert rc == 0
 
+    def test_non_finite_question_exit_2(self, tmp_path, capsys):
+        stream = gen(tmp_path)
+        rc = main(run_args(tmp_path, stream, "--question", "nan" + ",1" + ",0" * 6))
+        assert rc == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_question_from_bare_stream_exit_2(self, tmp_path):
         stream = gen(tmp_path, extra=["--no-question"])
         rc = main(run_args(tmp_path, stream, "--question", stream))
@@ -230,6 +249,81 @@ class TestBenchMem:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [r["frame_count"] for r in doc["rows"]] == [32, 64]
         assert doc["summary"]["gate"]["passed"]
+
+
+class TestRunParameters:
+    """Flags, --config keys and sweep axes share one set of short names."""
+
+    def test_sweep_takes_reinit_aliases(self, tmp_path):
+        cpath = write_config(tmp_path, sweep={"reinit": ["merged", "none"]})
+        assert main(["sweep", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert [r["params"]["reinit"] for r in rows] == ["merged_tokens", "none"]
+
+    def test_flag_zero_ltm_cap_exit_2(self, tmp_path, capsys):
+        cpath = write_config(tmp_path)
+        rc = main(["run", "--config", cpath, "--ltm-cap", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "long-term capacity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"ltm_cap": "x"}, "ltm_cap"),
+        ({"sweep": {"k": ["x"]}}, "k"),
+        ({"sweep": {"l_long": [1.5]}}, "ltm_cap"),
+    ])
+    def test_mistyped_value_names_the_parameter(self, tmp_path, capsys, overrides, name):
+        cpath = write_config(tmp_path, **overrides)
+        assert main(["sweep" if "sweep" in overrides else "run", "--config", cpath,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+
+
+def _malformed(tmp_path, case):
+    if case == "cfg_list":
+        return ["run", "--config", write_config(tmp_path, cfg=[1])]
+    if case == "synthetic_unknown_key":
+        return ["run", "--config", write_config(
+            tmp_path, synthetic={"frame_count": 40, "n_tokens": 2, "dims": 8, "colour": 1})]
+    if case == "sweep_scalar":
+        return ["sweep", "--config", write_config(tmp_path, sweep={"k": 5})]
+    if case == "seeds_string":
+        return ["run", "--config", write_config(tmp_path, seeds="ab")]
+    if case == "ema_decay_string":
+        return ["run", "--config", write_config(tmp_path, ema_decay="x")]
+    if case == "seeds_flag":
+        return ["run", "--config", write_config(tmp_path), "--seeds", "a"]
+    if case == "gen_segments":
+        return ["gen", "--t", "8", "--n", "1", "--d", "4", "--segments", "a:2:0.5",
+                "--out", str(tmp_path / "x.mces")]
+    if case == "question_object":
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps({"q": [1, 0]}))
+        return ["run", "--config", write_config(tmp_path), "--question", str(qpath)]
+    doc = tmp_path / "doc.json"
+    if case == "snapshot_entry_without_weight":
+        doc.write_text(json.dumps({"kind": "pipeline_snapshot", "long": {"entries": [
+            {"position_id": 0, "context_flag": False, "provenance": [[0, 1, 1]]}]}}))
+        return ["inspect", "--snapshot", str(doc)]
+    doc.write_text(json.dumps({"rows": [
+        {"policy": "ema", "relevance": {"applicable": True}}]}))
+    return ["inspect", "--report", str(doc)]
+
+
+@pytest.mark.parametrize("case", [
+    "cfg_list", "synthetic_unknown_key", "sweep_scalar", "seeds_string",
+    "ema_decay_string", "seeds_flag", "gen_segments", "question_object",
+    "snapshot_entry_without_weight", "report_row_without_rmf",
+])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
+    argv = _malformed(tmp_path, case)
+    if argv[0] != "inspect" and argv[0] != "gen":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
 
 
 class TestSweepAndCompare:

@@ -27,6 +27,7 @@ from mces import (
     write_report,
     write_stream,
 )
+from mces.harness import apply_params
 
 
 def tiny_synth(**kw):
@@ -67,6 +68,14 @@ class TestExperimentSpec:
         with pytest.raises(InvalidSpec):
             ExperimentSpec(synthetic=tiny_synth(), sweep=(("k", ()),))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", ("a",)), ("sample_count", "16"), ("ema_decay", "x"),
+        ("question", (float("nan"), 1.0)), ("question", (float("inf"), 1.0)),
+    ])
+    def test_field_validation(self, field, value):
+        with pytest.raises(InvalidSpec):
+            ExperimentSpec(synthetic=tiny_synth(), **{field: value})
+
     def test_to_dict_echoes_everything(self):
         spec = ExperimentSpec(synthetic=planted_synth(), seeds=(0, 1),
                               question=(1.0, 0.0))
@@ -75,6 +84,24 @@ class TestExperimentSpec:
         assert d["question"] == [1.0, 0.0]
         assert d["seeds"] == [0, 1]
         assert d["cfg"]["base_target"] == 4
+
+
+class TestApplyParams:
+    def test_names_values_and_aliases(self):
+        spec = apply_params(ExperimentSpec(synthetic=tiny_synth()),
+                            {"l_short": 8, "m0": 2, "alpha": 1, "sigma": 0.5,
+                             "basis": "max", "reinit": "uniform", "l_long": 32})
+        assert spec.cfg == ConsolidationConfig(capacity=8, base_target=2, alpha=1.0,
+                                               sigma=0.5, basis="max")
+        assert (spec.ltm_capacity, spec.reinit_mode) == (32, "uniform_sample")
+
+    @pytest.mark.parametrize("params, name", [
+        ({"window": 4}, "window"), ({"m0": 2.5}, "m0"), ({"k": "8"}, "k"),
+        ({"alpha": True}, "alpha"), ({"basis": 1}, "basis"), ({"reinit": 1}, "reinit"),
+    ])
+    def test_rejects_naming_the_parameter(self, params, name):
+        with pytest.raises(InvalidSpec, match=name):
+            apply_params(ExperimentSpec(synthetic=tiny_synth()), params)
 
 
 class TestRelevanceMetrics:

@@ -13,6 +13,7 @@ from mces import (
     SyntheticSpec,
     StaleTimestamp,
     ZeroNorm,
+    export_pipeline,
     extended_position,
     generate_synthetic,
 )
@@ -60,6 +61,11 @@ class TestConstruction:
             Pipeline(2, 4, question=np.ones(3))
         with pytest.raises(ZeroNorm):
             Pipeline(2, 4, question=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_question_refused(self, bad):
+        with pytest.raises(InvalidSpec):
+            Pipeline(2, 4, question=np.array([bad, 1.0, 0.0, 0.0]))
 
 
 class TestCadence:
@@ -167,6 +173,35 @@ class TestFlush:
         pipe = Pipeline(2, 4)
         pipe.run_stream([rng.standard_normal((2, 4)) for _ in range(20)], flush=False)
         assert len(pipe.short) > 0
+
+
+def exported(pipe, path):
+    json_path, sidecar = export_pipeline(pipe, str(path))
+    return tuple(open(p, "rb").read() for p in (json_path, sidecar))
+
+
+class TestFailedConsolidationKeepsState:
+    @pytest.mark.parametrize("reinit_mode", ["merged_tokens", "none"])
+    @pytest.mark.parametrize("question", [None, Q4], ids=["agnostic", "question"])
+    @pytest.mark.parametrize("call", ["step", "flush"])
+    def test_raising_call_changes_nothing(self, tmp_path, rng, call, question, reinit_mode):
+        pipe = Pipeline(2, 4, question=question, reinit_mode=reinit_mode)
+        for _ in range(23):  # the first fill fires at push 17
+            pipe.step(rng.standard_normal((2, 4)))
+        # an all-zero token row passes push; merging it raises ZeroNorm
+        pipe.step(np.array([[1.0, 2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+        while len(pipe.short) < pipe.cfg.capacity:
+            pipe.step(rng.standard_normal((2, 4)))
+        before = exported(pipe, tmp_path / "before.json")
+        weight = pipe.total_memory_weight()
+        for _ in range(2):  # refused again on the next call, still losing nothing
+            with pytest.raises(ZeroNorm):
+                if call == "step":
+                    pipe.step(rng.standard_normal((2, 4)))
+                else:
+                    pipe.flush()
+            assert exported(pipe, tmp_path / "before.json") == before
+            assert pipe.total_memory_weight() == weight
 
 
 class TestConservation:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ class TestReadValidation:
         raw = h.pack() + q.tobytes() + self.payload()
         with pytest.raises(NonFiniteValue):
             read_stream(raw)
+
+    def test_payload_is_held_once(self, tmp_path, rng):
+        path = str(tmp_path / "s.mces")
+        write_stream(path, rng.standard_normal((500, 16, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            _, frames, _ = read_stream(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one payload buffer plus the isfinite mask (a quarter of it)
+        assert peak < 1.3 * frames.nbytes
+        assert frames.flags.writeable
 
     def test_trailing_bytes_ignored(self, rng):
         frames = rng.standard_normal((1, 1, 2)).astype(np.float32)
