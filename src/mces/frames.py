@@ -10,11 +10,22 @@ Provenance is a sorted tuple of half-open ``(start, stop, count)`` intervals.
 Counts matter: when consolidated frames are fed back in as context seeds, the
 same source index can legitimately contribute to one frame more than once.
 The invariant ``provenance_mass(p) == weight`` holds for every frame.
+
+Each frame owns its tokens: the public constructor validates them and keeps
+a read-only copy. Token row norms are computed once per frame and cached
+(``WeightedFrame.norms``), so a pair similarity computes only the row dots.
+A merged frame is valid by construction: ``weighted_merge`` builds it
+without the copy and re-validation, computes its row norms at once and
+scans its tokens for non-finite values only when a norm is not finite.
+``as_context`` shares the tokens and norms. Cached and uncached norms come
+from one expression, so similarities and merge traces stay bitwise equal to
+the plain reference loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,23 +55,34 @@ Interval = tuple[int, int, int]
 def as_token_matrix(x) -> np.ndarray:
     """Validate an array-like as an (N, D) token matrix.
 
-    Returns a read-only float64 C-contiguous copy. Rejects anything that is
-    not 2-dimensional with N >= 1 and D >= 1, and any non-finite entry.
+    Returns a read-only float64 C-contiguous copy, always: the caller's
+    array stays writable and later writes to it do not reach the copy.
+    Rejects anything that is not 2-dimensional with N >= 1 and D >= 1, and
+    any non-finite entry.
 
     Raises:
         DimensionMismatch: wrong rank or an empty axis.
         ValueError: non-finite entries.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = np.array(x, dtype=np.float64, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"token matrix must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"token matrix axes must be >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("token matrix contains non-finite values")
-    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _row_norms(tokens: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each token row, reduced along the contiguous axis."""
+    return np.sqrt(np.sum(tokens * tokens, axis=1))
+
+
+def _norms_of(frame, tokens: np.ndarray) -> np.ndarray:
+    # a WeightedFrame's cached row norms, or those of a bare matrix
+    return frame.norms if isinstance(frame, WeightedFrame) else _row_norms(tokens)
 
 
 def unit_interval(index: int) -> tuple[Interval, ...]:
@@ -139,6 +161,17 @@ class WeightedFrame:
         object.__setattr__(self, "provenance", prov)
 
     @classmethod
+    def _trusted(cls, tokens: np.ndarray, weight: int, provenance: tuple[Interval, ...],
+                 context_flag: bool, norms: np.ndarray) -> "WeightedFrame":
+        # a frame valid by construction, without __post_init__'s copy and
+        # checks: tokens read-only finite float64 C-contiguous, provenance
+        # valid with mass == weight, norms the cached row norms of tokens
+        frame = object.__new__(cls)
+        frame.__dict__.update(tokens=tokens, weight=weight, provenance=provenance,
+                              context_flag=context_flag, norms=norms)
+        return frame
+
+    @classmethod
     def from_tokens(cls, tokens, source_index: int, context_flag: bool = False) -> "WeightedFrame":
         """Wrap a raw stream frame: weight 1, unit provenance."""
         return cls(tokens=tokens, weight=1, provenance=unit_interval(source_index),
@@ -152,11 +185,19 @@ class WeightedFrame:
     def dims(self) -> int:
         return self.tokens.shape[1]
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only (N,) norms of the token rows, computed once per frame."""
+        norms = _row_norms(self.tokens)
+        norms.setflags(write=False)
+        return norms
+
     def as_context(self) -> "WeightedFrame":
-        """Copy of this frame marked as injected context."""
+        """This frame marked as injected context; tokens and norms are shared."""
         if self.context_flag:
             return self
-        return replace(self, context_flag=True)
+        return WeightedFrame._trusted(self.tokens, self.weight, self.provenance, True,
+                                      self.norms)
 
 
 def _vector(u) -> np.ndarray:
@@ -217,8 +258,7 @@ def frame_pair_similarity(a, b) -> float:
         raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
     if ta.ndim != 2:
         raise DimensionMismatch(f"expected (N, D) matrices, got shape {ta.shape}")
-    na = np.sqrt(np.sum(ta * ta, axis=1))
-    nb = np.sqrt(np.sum(tb * tb, axis=1))
+    na, nb = _norms_of(a, ta), _norms_of(b, tb)
     for norms, which in ((na, "first"), (nb, "second")):
         bad = norms < NORM_FLOOR
         if bad.any():
@@ -242,7 +282,7 @@ def mean_token_similarity(frame, q) -> float:
     nq = float(np.linalg.norm(qv))
     if nq < NORM_FLOOR:
         raise ZeroNorm("question vector has near-zero norm")
-    nt = np.sqrt(np.sum(tokens * tokens, axis=1))
+    nt = _norms_of(frame, tokens)
     bad = nt < NORM_FLOOR
     if bad.any():
         j = int(np.argmax(bad))
@@ -259,15 +299,34 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     only if both parents carry it. Weighted averaging makes the operation
     associative up to float error: any merge tree over the same multiset of
     weight-1 frames lands on the same weighted mean.
+
+    Raises ValueError when the merged tokens overflow to non-finite values.
     """
-    if a.tokens.shape != b.tokens.shape:
+    ta, tb = a.tokens, b.tokens
+    if ta.shape != tb.shape:
         raise DimensionMismatch(
-            f"cannot merge frames of shapes {a.tokens.shape} and {b.tokens.shape}")
-    total = a.weight + b.weight
-    tokens = (a.weight * a.tokens + b.weight * b.tokens) / total
-    return WeightedFrame(
-        tokens=tokens,
-        weight=total,
-        provenance=merge_provenance(a.provenance, b.provenance),
-        context_flag=a.context_flag and b.context_flag,
-    )
+            f"cannot merge frames of shapes {ta.shape} and {tb.shape}")
+    wa, wb = a.weight, b.weight
+    total = wa + wb
+    # (wa * ta + wb * tb) / total in one fresh buffer. Multiplying by a
+    # weight of exactly 1 is skipped and addition commutes, so every value
+    # is bitwise what the plain expression gives.
+    if wa != 1:
+        tokens = np.multiply(ta, wa)
+        tokens += tb if wb == 1 else wb * tb
+    elif wb != 1:
+        tokens = np.multiply(tb, wb)
+        tokens += ta
+    else:
+        tokens = ta + tb
+    tokens /= total
+    norms = _row_norms(tokens)
+    # a non-finite token makes its row norm non-finite; a finite norm
+    # vouches for its whole row
+    if not np.isfinite(norms).all() and not np.isfinite(tokens).all():
+        raise ValueError("token matrix contains non-finite values")
+    tokens.setflags(write=False)
+    norms.setflags(write=False)
+    return WeightedFrame._trusted(
+        tokens, total, merge_provenance(a.provenance, b.provenance),
+        a.context_flag and b.context_flag, norms)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .errors import (
     MissingQuestion,
 )
 from .frames import WeightedFrame, cosine, frame_descriptor
-from .pipeline import Pipeline
+from .pipeline import REINIT_MODES, Pipeline
 from .streamio import SyntheticSpec, generate_synthetic, iter_synthetic, read_stream
 
 __all__ = [
@@ -121,6 +122,13 @@ class ExperimentSpec:
             raise InvalidSpec("seeds must be >= 0")
         _checked("sample_count", int, self.sample_count)
         _checked("ema_decay", float, self.ema_decay)
+        # checked here too, not only by the engine, so that a run of
+        # baselines alone cannot echo a setting no pipeline would accept
+        if _checked("ltm_capacity", int, self.ltm_capacity) < 1:
+            raise InvalidSpec(f"long-term capacity must be >= 1, got {self.ltm_capacity}")
+        if self.reinit_mode not in REINIT_MODES:
+            raise InvalidSpec(
+                f"reinit_mode must be one of {REINIT_MODES}, got {self.reinit_mode!r}")
         sweep = []
         for key, values in self.sweep:
             key = PARAM_ALIASES.get(key, key)
@@ -267,7 +275,7 @@ def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeli
         cfg = replace(cfg, question_required=False)
     pipe = Pipeline(frames[0].shape[0], frames[0].shape[1], cfg, question=question,
                     ltm_capacity=spec.ltm_capacity, reinit_mode=spec.reinit_mode)
-    pipe.run_stream(frames)
+    deque(pipe._stream_reports(frames), maxlen=0)
     return pipe
 
 
@@ -401,7 +409,7 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
                         question=None, ltm_capacity=spec.ltm_capacity,
                         reinit_mode="none")
         t0 = time.perf_counter()
-        pipe.run_stream(lazy)
+        deque(pipe._stream_reports(lazy), maxlen=0)
         wall = time.perf_counter() - t0
         record = pipe.bytes_model()
         raw = record.raw_bytes_per_frame

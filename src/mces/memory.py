@@ -184,12 +184,24 @@ class LongTermMemory:
         self._entries.append(frame)
 
     def append(self, frames: Sequence[WeightedFrame]) -> None:
-        """Append consolidated frames in order, then compact if over cap."""
-        for frame in frames:
-            self._push_entry(frame)
-            self._position_ids.append(self._next_position_id)
-            self._next_position_id += 1
-        self.overflow_compact()
+        """Append consolidated frames in order, then compact if over cap.
+
+        All or nothing: appending and compaction work on fresh copies of
+        the store's lists. If anything raises (say ZeroNorm from a merged
+        entry), the originals are put back and the store is as it was.
+        """
+        saved = dict(vars(self))
+        for name in ("_entries", "_pair_sims", "_position_ids"):
+            setattr(self, name, list(saved[name]))
+        try:
+            for frame in frames:
+                self._push_entry(frame)
+                self._position_ids.append(self._next_position_id)
+                self._next_position_id += 1
+            self.overflow_compact()
+        except BaseException:
+            vars(self).update(saved)
+            raise
 
     def overflow_compact(self) -> None:
         """Merge most-similar adjacent pairs until the store fits its cap.

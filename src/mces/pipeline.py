@@ -171,23 +171,26 @@ class Pipeline:
     def step(self, frame) -> ConsolidationReport | None:
         """Push one frame; returns the consolidation report if one fired.
 
-        If consolidating the fill raises, the frame is refused and the fill
-        stays buffered: the pipeline is as it was before the call.
+        If consolidating the fill or banking it in long-term memory raises,
+        the frame is refused and the fill stays buffered: the pipeline is as
+        it was before the call.
         """
         popped = self.short.push(frame)
         self.frames_pushed += 1
         if popped is None:
             self._note_resident(0)
             return None
+        saved = self.counters()
         try:
             out, report = consolidate(popped, self.question, self.cfg)
+            self._bank(popped, out)
         except BaseException:
+            vars(self).update(saved)
+            self.frames_pushed -= 1
             self.short.drain()
             self.short._restore(popped)
             self.short._next_source_index -= 1
-            self.frames_pushed -= 1
             raise
-        self._bank(popped, out)
         trigger = self.short.drain()
         seeds = self._pick_seeds(popped, out, report.target)
         self.short.reinit(seeds)
@@ -201,32 +204,43 @@ class Pipeline:
 
         The residue's slot budget is the gated target scaled by its length
         relative to a full fill, never below one. Returns the report, or
-        None when nothing was buffered. If consolidating raises, the residue
-        stays buffered.
+        None when nothing was buffered. If consolidating or banking raises,
+        the residue stays buffered and the pipeline is as it was.
         """
         window = self.short.drain()
         if not window:
             return None
+        saved = self.counters()
         try:
             out, report = consolidate(window, self.question, self.cfg, _residue=True)
+            self._bank(window, out)
         except BaseException:
+            vars(self).update(saved)
             self.short._restore(window)
             raise
-        self._bank(window, out)
         self._note_resident(0)
         return report
 
     def run_stream(self, frames: Iterable, flush: bool = True) -> list[ConsolidationReport]:
         """Push every frame, then flush. Returns all consolidation reports."""
-        reports = [r for f in frames if (r := self.step(f)) is not None]
+        return list(self._stream_reports(frames, flush))
+
+    def _stream_reports(self, frames: Iterable, flush: bool = True):
+        # run_stream one report at a time: a caller that wants only the final
+        # state drains it without holding a report per fill
+        for frame in frames:
+            report = self.step(frame)
+            if report is not None:
+                yield report
         if flush:
-            last = self.flush()
-            if last is not None:
-                reports.append(last)
-        return reports
+            report = self.flush()
+            if report is not None:
+                yield report
 
     def _bank(self, window: list[WeightedFrame], out: list[WeightedFrame]) -> None:
-        # count a consolidated window and append its result to long-term memory
+        # count a consolidated window and append its result to long-term
+        # memory; the append is all or nothing, and the caller resets the
+        # counters when it raises
         self.consolidations_run += 1
         self.consolidation_input_total += len(window)
         self.consolidation_output_total += len(out)

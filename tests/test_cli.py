@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,16 @@ class TestRunParameters:
         assert rc == 2
         assert "long-term capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["ltm_cap", "reinit"])
+    def test_baseline_only_run_checks_engine_settings(self, tmp_path, capsys, case):
+        # no pipeline row would ever build the long-term store or re-seed
+        extra = (["--ltm-cap", "0"] if case == "ltm_cap"
+                 else ["--config", write_config(tmp_path, reinit="bogus")])
+        args = run_args(tmp_path, gen(tmp_path), "--policies", "ema", *extra)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("overrides, name", [
         ({"ltm_cap": "x"}, "ltm_cap"),
         ({"sweep": {"k": ["x"]}}, "k"),
@@ -405,10 +417,11 @@ class TestInspect:
 class TestEntryPoint:
     def test_module_runs_as_subprocess(self, tmp_path):
         out = str(tmp_path / "sub.mces")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "mces.cli", "gen", "--t", "8", "--n", "1",
              "--d", "4", "--out", out],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == out
         header, _, _ = read_stream(out)

@@ -32,6 +32,14 @@ class TestTokenMatrix:
         with pytest.raises(ValueError):
             a[0, 0] = 5.0
 
+    def test_copies_float64_input(self):
+        # the caller's array stays writable and later writes do not leak in
+        x = np.ones((2, 3))
+        a = as_token_matrix(x)
+        assert x.flags.writeable
+        x[0, 0] = 5.0
+        assert a[0, 0] == 1.0
+
     def test_float32_input_upcast(self):
         a = as_token_matrix(np.ones((2, 3), dtype=np.float32))
         assert a.dtype == np.float64
@@ -139,6 +147,22 @@ class TestWeightedFrame:
         assert g.as_context() is g
         assert np.array_equal(g.tokens, f.tokens)
 
+    def test_as_context_shares_tokens_and_norms(self, rng):
+        f = WeightedFrame.from_tokens(rng.standard_normal((3, 4)), 0)
+        g = f.as_context()
+        assert g.tokens is f.tokens
+        assert g.norms is f.norms
+        assert g.provenance == f.provenance and g.weight == f.weight
+
+    def test_norms_cached_and_read_only(self, rng):
+        f = WeightedFrame.from_tokens(rng.standard_normal((3, 5)), 0)
+        assert f.norms is f.norms
+        assert np.array_equal(f.norms, np.sqrt(np.sum(f.tokens * f.tokens, axis=1)))
+        with pytest.raises(ValueError):
+            f.norms[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.norms = np.ones(3)
+
     def test_tokens_frozen(self):
         f = WeightedFrame.from_tokens(np.ones((1, 2)), 0)
         with pytest.raises(ValueError):
@@ -227,6 +251,24 @@ class TestPairSimilarity:
         with pytest.raises(DimensionMismatch):
             frame_pair_similarity(rng.standard_normal((2, 3)), rng.standard_normal((3, 3)))
 
+    def test_cached_norms_give_the_bare_array_value(self, rng):
+        a, b = make_frames(rng, 2, 16, 300)
+        want = frame_pair_similarity(a.tokens, b.tokens)
+        assert frame_pair_similarity(a, b) == want
+        assert frame_pair_similarity(a, b.tokens) == want
+        assert frame_pair_similarity(a.tokens, b) == want
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_zero_token_in_a_frame_reports_row(self, side):
+        frames = [WeightedFrame.from_tokens(np.ones((3, 2)), 0),
+                  WeightedFrame.from_tokens([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]], 1)]
+        if side:
+            frames.reverse()
+        with pytest.raises(ZeroNorm) as err:
+            frame_pair_similarity(*frames)
+        assert err.value.token_index == 2
+        assert f"token 2 of {('second', 'first')[side]} frame" in str(err.value)
+
 
 class TestMeanTokenSimilarity:
     def test_uniform_tokens(self):
@@ -300,6 +342,42 @@ class TestWeightedMerge:
         assert final.weight == count
         assert final.provenance == ((0, count, 1),)
         assert np.allclose(final.tokens, np.mean(originals, axis=0), atol=1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_merged_frame_passes_the_public_constructor(self, seed, wa, wb, ca, cb):
+        r = np.random.default_rng(seed)
+        shape = (int(r.integers(1, 5)), int(r.integers(1, 9)))
+        a = WeightedFrame(r.standard_normal(shape), weight=wa,
+                          provenance=((0, wa, 1),), context_flag=ca)
+        b = WeightedFrame(r.standard_normal(shape), weight=wb,
+                          provenance=((wa, wa + wb, 1),), context_flag=cb)
+        m = weighted_merge(a, b)
+        rebuilt = WeightedFrame(m.tokens, weight=m.weight, provenance=m.provenance,
+                                context_flag=m.context_flag)
+        assert np.array_equal(rebuilt.tokens, m.tokens)
+        assert rebuilt.provenance == m.provenance
+        assert np.array_equal(rebuilt.norms, m.norms)
+        assert not m.tokens.flags.writeable and not m.norms.flags.writeable
+        assert m.tokens.dtype == np.float64 and m.tokens.flags.c_contiguous
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 3), (2, 3)])
+    def test_overflowing_merge_raises(self, weights):
+        wa, wb = weights
+        a = WeightedFrame(np.full((2, 3), 1e308), weight=wa, provenance=((0, wa, 1),))
+        b = WeightedFrame(np.full((2, 3), 1e308), weight=wb,
+                          provenance=((wa, wa + wb, 1),))
+        with pytest.raises(ValueError):
+            weighted_merge(a, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_merge_with_overflowing_norms_is_kept(self):
+        a = WeightedFrame.from_tokens(np.full((2, 3), 1e200), 0)
+        m = weighted_merge(a, WeightedFrame.from_tokens(np.full((2, 3), 3e200), 1))
+        assert np.array_equal(m.tokens, np.full((2, 3), 2e200))
+        assert np.isinf(m.norms).all()
 
     def test_merge_matches_oracle_arithmetic(self, rng):
         frames = make_frames(rng, 2, 3, 5)

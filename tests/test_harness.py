@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mces import (
     write_report,
     write_stream,
 )
-from mces.harness import apply_params
+from mces.harness import _run_pipeline, apply_params
 
 
 def tiny_synth(**kw):
@@ -71,6 +72,7 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("field, value", [
         ("seeds", ("a",)), ("sample_count", "16"), ("ema_decay", "x"),
         ("question", (float("nan"), 1.0)), ("question", (float("inf"), 1.0)),
+        ("ltm_capacity", 0), ("ltm_capacity", 2.5), ("reinit_mode", "merged"),
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(InvalidSpec):
@@ -298,6 +300,34 @@ class TestBenchMem:
         spec = ExperimentSpec(synthetic=tiny_synth())
         with pytest.raises(InvalidSpec):
             bench_mem(spec, t_list=(0,))
+
+
+class TestHeldMemory:
+    """Driving a pipeline for its final state holds nothing per fill."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("driver", ["run_pipeline", "bench_mem"])
+    def test_peak_does_not_grow_with_stream_length(self, driver):
+        spec = ExperimentSpec(synthetic=tiny_synth(), ltm_capacity=8, reinit_mode="none")
+
+        def drive(t):
+            if driver == "bench_mem":
+                return lambda: bench_mem(spec, t_list=(t,))
+            frames, _ = generate_synthetic(tiny_synth(frame_count=t))
+            return lambda: _run_pipeline("stream_merge", frames, None, spec)
+
+        self.peak_bytes(drive(1000))  # first-call allocations are not per fill
+        short, long = (self.peak_bytes(drive(t)) for t in (1000, 4000))
+        # a report per fill would hold about 1 KB for each of 187 more fills
+        assert long - short < 32 * 1024
 
 
 class TestReportPlumbing:

@@ -14,6 +14,7 @@ from mces import (
     ShapeMismatch,
     ShortTermBuffer,
     WeightedFrame,
+    ZeroNorm,
     assign_positions,
     enumerate_collisions,
     extended_position,
@@ -224,6 +225,25 @@ class TestLongTermMemory:
         mem.append([a, b, c])
         assert mem.position_ids == (0, 2)
         assert mem.entries[0].weight == 2
+
+    @pytest.mark.parametrize("held", [0, 1])
+    def test_failed_append_leaves_the_store_as_it_was(self, held):
+        # merging a and b cancels token 0, so the similarity of the merged
+        # entry to c is undefined
+        a, b, c = (WeightedFrame.from_tokens(t, i) for i, t in enumerate((
+            [[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]],
+            [[-1.0, 0.0], [0.0, -1.0]])))
+        mem = LongTermMemory(2)
+        mem.append([a, b, c][:held])
+        state = (mem.entries, mem.position_ids, mem.next_position_id,
+                 list(mem._pair_sims), mem.n_tokens)
+        with pytest.raises(ZeroNorm):
+            mem.append([a, b, c][held:])
+        assert (mem.entries, mem.position_ids, mem.next_position_id,
+                list(mem._pair_sims), mem.n_tokens) == state
+        mem.append([c])
+        assert len(mem) == len(mem.position_ids) == held + 1
+        assert mem.position_ids[-1] == held
 
     def test_entry_shape_pinned_by_first(self, rng):
         mem = LongTermMemory(5)

@@ -68,6 +68,20 @@ class TestConstruction:
             Pipeline(2, 4, question=np.array([bad, 1.0, 0.0, 0.0]))
 
 
+class TestInputsAreCopied:
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # a view of a batch and a whole array; writing either after the push
+        # must neither fail nor reach the buffered frames
+        batch = np.ones((2, 2, 4))
+        frame = np.ones((2, 4))
+        pipe = Pipeline(2, 4, reinit_mode="none")
+        pipe.step(batch[0])
+        pipe.step(frame)
+        batch[0] = 7.0
+        frame[0, 0] = 7.0
+        assert all(np.array_equal(f.tokens, np.ones((2, 4))) for f in pipe.short.frames)
+
+
 class TestCadence:
     def test_first_fill_fires_on_push_17(self, rng):
         pipe = Pipeline(2, 4, question=Q4)
@@ -202,6 +216,32 @@ class TestFailedConsolidationKeepsState:
                     pipe.flush()
             assert exported(pipe, tmp_path / "before.json") == before
             assert pipe.total_memory_weight() == weight
+
+    @pytest.mark.parametrize("question", [None, Q4[:2]], ids=["agnostic", "question"])
+    @pytest.mark.parametrize("call", ["step", "flush"])
+    def test_raising_long_term_append_changes_nothing(self, tmp_path, call, question):
+        # Each fill of two equal frames merges to that frame. Banking the
+        # third entry compacts the long-term store: the first two entries
+        # tie with the last pair at similarity 0 and merge, their token 0
+        # cancels, and the similarity to the third entry raises ZeroNorm.
+        a, b, c = (np.array(t) for t in ([[1.0, 0.0], [0.0, 1.0]],
+                                         [[-1.0, 0.0], [0.0, 1.0]],
+                                         [[-1.0, 0.0], [0.0, -1.0]]))
+        cfg = ConsolidationConfig(capacity=2, base_target=1)
+        pipe = Pipeline(2, 2, cfg, question=question, ltm_capacity=2, reinit_mode="none")
+        for frame in (a, a, b, b, c) + ((c,) if call == "step" else ()):
+            pipe.step(frame)
+        assert len(pipe.long) == 2
+        before = exported(pipe, tmp_path / "before.json")
+        for _ in range(2):
+            with pytest.raises(ZeroNorm):
+                if call == "step":
+                    pipe.step(a)
+                else:
+                    pipe.flush()
+            assert exported(pipe, tmp_path / "before.json") == before
+            assert pipe.total_memory_weight() == pipe.frames_pushed
+            assert len(pipe.long.position_ids) == len(pipe.long) == 2
 
 
 class TestConservation:
