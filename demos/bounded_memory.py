@@ -28,8 +28,6 @@ def main() -> int:
     print(f"\npeak constant across lengths: {summary['peak_constant']}")
     print(f"amortized model within 1% of measured: "
           f"{summary['amortized_within_1pct']}")
-    if summary["r_squared"] is not None:
-        print(f"wall time vs length, linear fit r^2: {summary['r_squared']:.4f}")
     return 0
 
 

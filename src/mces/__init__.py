@@ -40,7 +40,6 @@ from .frames import (
     cosine,
     frame_descriptor,
     frame_pair_similarity,
-    mean_token_similarity,
     merge_provenance,
     provenance_mass,
     unit_interval,
@@ -89,7 +88,7 @@ from .pipeline import (
     VideoRepresentation,
     consolidate,
 )
-from .snapshot import export_long_term, export_pipeline, import_pipeline
+from .snapshot import export_pipeline, import_pipeline
 from .harness import (
     ExperimentSpec,
     RelevanceMetrics,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from .errors import (
     StreamFormatError,
 )
 from .harness import (
+    BASELINES,
     PARAMS,
     VALUE_ALIASES,
     ExperimentSpec,
@@ -31,10 +33,9 @@ from .harness import (
     check_gate,
     plant_eval,
     run,
-    sweep,
     write_report,
 )
-from .snapshot import export_pipeline
+from .snapshot import export_pipeline, read_json
 from .streamio import SyntheticSpec, generate_synthetic, read_stream, write_stream
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -53,22 +54,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ltm-cap", type=int, help="long-term capacity")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--policies", help="comma-separated policy list")
-
-
-def _load_config(path: str | None) -> dict:
-    # any JSON input: --config files, snapshots and reports for inspect
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path!r} does not hold a JSON object")
-    return doc
 
 
 def _inputs(args) -> str:
@@ -118,7 +103,7 @@ def _parse_segments(value):
 
 
 def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
-    doc = _load_config(args.config)
+    doc = {} if args.config is None else read_json(args.config)
     with _reading(_inputs(args)):
         cfg_doc = dict(doc.get("cfg", {}))
         # flags win over the config's top-level run parameters
@@ -163,18 +148,16 @@ def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
         return apply_params(spec, params)
 
 
-def _formats(args):
-    return ("json", "csv") if args.format == "both" else (args.format,)
-
-
 def _emit(report: dict, args) -> None:
-    paths = write_report(report, args.out, _formats(args))
-    for p in paths:
-        print(p)
+    formats = ("json", "csv") if args.format == "both" else (args.format,)
+    for path in write_report(report, args.out, formats):
+        print(path)
+    if getattr(args, "assert_gate", False):
+        check_gate(report)
 
 
 def _cmd_gen(args) -> int:
-    doc = _load_config(args.config)
+    doc = {} if args.config is None else read_json(args.config)
     flags = {"frame_count": args.t, "n_tokens": args.n, "dims": args.d,
              "noise_scale": args.noise, "seed": args.seed,
              "segments": None if args.segments is None else _parse_segments(args.segments)}
@@ -189,48 +172,34 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    # run, sweep and compare: the command's own check, then harness.run
     spec = _build_spec(args)
+    if args.command == "sweep" and not spec.sweep:
+        raise ConfigError("sweep needs at least one axis")
+    if args.command == "compare" and len(spec.policies) < 2:
+        raise ConfigError("compare needs at least two --policies")
+    snapshot = getattr(args, "snapshot", False)
+    rows = len(spec.seeds) * len(spec.policies) * math.prod(len(v) for _, v in spec.sweep)
+    if snapshot and (rows != 1 or spec.policies[0] in BASELINES):
+        raise ConfigError("--snapshot needs a run of one row with a pipeline policy")
     last = []
-    report = run(spec, _last_pipeline=last)
-    _emit(report, args)
-    if args.snapshot and len(report["rows"]) == 1 and last[0] is not None:
-        path, _ = export_pipeline(last[0], os.path.join(args.out, "snapshot.json"))
-        print(path)
+    _emit(run(spec, _last_pipeline=last), args)
+    if snapshot:
+        print(export_pipeline(last[0], os.path.join(args.out, "snapshot.json"))[0])
     return 0
 
 
 def _cmd_plant_eval(args) -> int:
     spec = _build_spec(args, default_seeds=tuple(range(20)))
-    report = plant_eval(spec, min_wins=args.min_wins)
-    _emit(report, args)
-    if args.assert_gate:
-        check_gate(report)
+    _emit(plant_eval(spec, min_wins=args.min_wins), args)
     return 0
 
 
 def _cmd_bench_mem(args) -> int:
     spec = _build_spec(args)
-    t_list = [int(v) for v in args.t_list.split(",") if v.strip()]
-    report = bench_mem(spec, t_list)
-    _emit(report, args)
-    if args.assert_gate:
-        check_gate(report)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    spec = _build_spec(args)
-    report = sweep(spec)
-    _emit(report, args)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    spec = _build_spec(args)
-    if len(spec.policies) < 2:
-        raise ConfigError("compare needs at least two --policies")
-    report = run(spec)
-    _emit(report, args)
+    with _reading(f"--t-list {args.t_list!r}"):
+        t_list = [int(v) for v in args.t_list.split(",") if v.strip()]
+    _emit(bench_mem(spec, t_list), args)
     return 0
 
 
@@ -246,7 +215,7 @@ def _cmd_inspect(args) -> int:
               f"max {norms.max():.4f}")
         return 0
     if args.snapshot:
-        doc = _load_config(args.snapshot)
+        doc = read_json(args.snapshot)
         with _reading(f"snapshot {args.snapshot!r}"):
             print(f"snapshot {args.snapshot} kind {doc.get('kind')}")
             entries = doc.get("long", doc).get("entries", [])
@@ -262,7 +231,7 @@ def _cmd_inspect(args) -> int:
                 print(f"  counters {json.dumps(counters, sort_keys=True)}")
         return 0
     if args.report:
-        doc = _load_config(args.report)
+        doc = read_json(args.report)
         with _reading(f"report {args.report!r}"):
             rows = doc.get("rows", [])
             print(f"report {args.report} rows {len(rows)} "
@@ -303,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run policies over a stream")
     _add_common(p)
     p.add_argument("--snapshot", action="store_true",
-                   help="also export a pipeline snapshot (single-row runs)")
+                   help="also export a pipeline snapshot (one row of a pipeline policy)")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("plant-eval", help="aware vs agnostic retention on planted streams")
@@ -320,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="config grid sweep")
     _add_common(p)
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("compare", help="side-by-side policy comparison")
     _add_common(p)
-    p.set_defaults(handler=_cmd_compare)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("inspect", help="summarize a stream, snapshot, or report")
     p.add_argument("--stream")
@@ -347,10 +316,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IoFailure, StreamFormatError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (IoFailure, StreamFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except McesError as exc:

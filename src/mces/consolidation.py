@@ -23,19 +23,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidSpec, InvalidTarget
+from .errors import EmptyInput, InvalidSpec, InvalidTarget, checked
 from .frames import (
     WeightedFrame,
     cosine,
     frame_descriptor,
     frame_pair_similarity,
-    mean_token_similarity,
     weighted_merge,
 )
 
 __all__ = [
     "RELEVANCE_BASES",
-    "QUESTION_SIMILARITIES",
     "ConsolidationConfig",
     "ConsolidationReport",
     "relevance_score",
@@ -43,8 +41,11 @@ __all__ = [
     "greedy_merge",
 ]
 
-RELEVANCE_BASES = ("mean", "min", "max")
-QUESTION_SIMILARITIES = ("pooled", "per_token")
+_AGGREGATES = {"mean": np.mean, "min": np.min, "max": np.max}
+RELEVANCE_BASES = tuple(_AGGREGATES)
+# retired config keys, each with the one value a config or snapshot may carry
+_RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False}
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,8 @@ class ConsolidationConfig:
     base_target is the slot budget for a relevant window, alpha scales it for
     irrelevant ones, sigma is the strict relevance threshold. Ties in the
     merge loop always break toward the lowest index; that is part of the
-    contract, not a knob.
+    contract, not a knob. Every field must have its declared type, by the
+    rule of :func:`mces.errors.checked`.
     """
 
     capacity: int = 16
@@ -64,10 +66,11 @@ class ConsolidationConfig:
     sigma: float = 0.25
     basis: str = "mean"
     question_required: bool = False
-    question_similarity: str = "pooled"
-    relevance_exclude_context: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               checked(f.name, _KINDS[f.type], getattr(self, f.name)))
         if self.capacity < 1:
             raise InvalidSpec(f"capacity must be >= 1, got {self.capacity}")
         if not 1 <= self.base_target <= self.capacity:
@@ -79,10 +82,6 @@ class ConsolidationConfig:
             raise InvalidSpec(f"sigma must be in [-1, 1], got {self.sigma}")
         if self.basis not in RELEVANCE_BASES:
             raise InvalidSpec(f"basis must be one of {RELEVANCE_BASES}, got {self.basis!r}")
-        if self.question_similarity not in QUESTION_SIMILARITIES:
-            raise InvalidSpec(
-                f"question_similarity must be one of {QUESTION_SIMILARITIES}, "
-                f"got {self.question_similarity!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConsolidationConfig":
@@ -91,12 +90,18 @@ class ConsolidationConfig:
         Unknown keys raise InvalidSpec. Files written before the window
         knobs were retired may carry window_size and windows_per_fill; they
         are accepted only when their product equals capacity, then dropped.
+        The retired relevance keys are accepted only at their one value.
         """
         doc = dict(doc)
         unknown = sorted(set(doc) - {f.name for f in fields(cls)}
-                         - {"window_size", "windows_per_fill"})
+                         - {"window_size", "windows_per_fill", *_RETIRED})
         if unknown:
             raise InvalidSpec(f"unknown config keys {unknown}")
+        for key, only in _RETIRED.items():
+            value = doc.pop(key, only)
+            if type(value) is not type(only) or value != only:
+                raise InvalidSpec(
+                    f"retired config key {key!r} must be {only!r}, got {value!r}")
         try:
             if "window_size" in doc or "windows_per_fill" in doc:
                 capacity = doc.get("capacity", cls.capacity)
@@ -110,9 +115,10 @@ class ConsolidationConfig:
             raise InvalidSpec(f"bad config value: {exc}") from exc
 
     def to_dict(self) -> dict:
-        """Snapshot form. It still writes the retired window keys (one window
-        per fill), so readers of snapshot version 1 without from_dict load it."""
-        return {**asdict(self), "window_size": self.capacity, "windows_per_fill": 1}
+        """Snapshot form. It still writes the retired keys (one window per
+        fill), so readers of snapshot version 1 without from_dict load it."""
+        return {**asdict(self), **_RETIRED,
+                "window_size": self.capacity, "windows_per_fill": 1}
 
     def weak_target(self) -> int:
         """Slot budget for an irrelevant window: round-half-up, clamped."""
@@ -145,37 +151,19 @@ class ConsolidationReport:
         }
 
 
-def relevance_score(frames: Sequence[WeightedFrame], question, basis: str = "mean",
-                    question_similarity: str = "pooled",
-                    exclude_context: bool = False) -> float:
+def relevance_score(frames: Sequence[WeightedFrame], question, basis: str = "mean") -> float:
     """Aggregate question similarity over a window of frames.
 
-    Each frame scores cosine(descriptor, question) in pooled mode, or the
-    mean per-token cosine in per_token mode; scores aggregate by mean, min,
-    or max. When exclude_context is set, context-flagged frames are left out
-    unless that would empty the window.
+    Each frame scores cosine(descriptor, question); the scores aggregate by
+    mean, min, or max.
     """
     if basis not in RELEVANCE_BASES:
         raise InvalidSpec(f"basis must be one of {RELEVANCE_BASES}, got {basis!r}")
-    if question_similarity not in QUESTION_SIMILARITIES:
-        raise InvalidSpec(f"unknown question_similarity {question_similarity!r}")
     frames = list(frames)
     if not frames:
         raise EmptyInput("relevance over an empty window")
-    if exclude_context:
-        fresh = [f for f in frames if not f.context_flag]
-        if fresh:
-            frames = fresh
     q = np.asarray(question, dtype=np.float64)
-    if question_similarity == "pooled":
-        scores = [cosine(frame_descriptor(f), q) for f in frames]
-    else:
-        scores = [mean_token_similarity(f, q) for f in frames]
-    if basis == "mean":
-        return float(np.mean(scores))
-    if basis == "min":
-        return float(np.min(scores))
-    return float(np.max(scores))
+    return float(_AGGREGATES[basis]([cosine(frame_descriptor(f), q) for f in frames]))
 
 
 def target_count(score: float, cfg: ConsolidationConfig) -> int:

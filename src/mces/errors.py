@@ -3,7 +3,8 @@
 Everything raised on purpose derives from :class:`McesError` so callers can
 catch one base. The CLI maps subfamilies to exit codes: configuration
 problems exit 2, I/O and container-format problems exit 3, failed assertion
-gates exit 4.
+gates exit 4. :func:`checked` is the one type rule for settings read from
+flags, config files and snapshots.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "NonFiniteValue",
     "IoFailure",
     "GateFailure",
+    "checked",
 ]
 
 
@@ -147,3 +149,15 @@ class IoFailure(McesError):
 
 class GateFailure(McesError):
     """An assertion gate did not hold in --assert mode. CLI exit 4."""
+
+
+def checked(name: str, kind, value):
+    """``kind(value)``, or InvalidSpec naming ``name`` when that would change
+    the value: parse a string, truncate a float, or read a bool as a number
+    or a number as a bool. An int is accepted for a float."""
+    try:
+        if isinstance(value, bool) == (kind is bool) and kind(value) == value:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidSpec(f"{name} must be of type {kind.__name__}, got {value!r}")

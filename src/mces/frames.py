@@ -42,7 +42,6 @@ __all__ = [
     "cosine",
     "frame_descriptor",
     "frame_pair_similarity",
-    "mean_token_similarity",
     "weighted_merge",
 ]
 
@@ -266,28 +265,6 @@ def frame_pair_similarity(a, b) -> float:
             raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
     dots = np.sum(ta * tb, axis=1)
     cos = np.clip(dots / (na * nb), -1.0, 1.0)
-    return float(cos.mean())
-
-
-def mean_token_similarity(frame, q) -> float:
-    """Mean over token rows of cosine(token, q).
-
-    The per-token alternative to comparing the pooled descriptor against q.
-    """
-    tokens = _tokens_of(frame)
-    qv = _vector(q)
-    if tokens.ndim != 2 or tokens.shape[1] != qv.shape[0]:
-        raise DimensionMismatch(
-            f"tokens {tokens.shape} incompatible with question {qv.shape}")
-    nq = float(np.linalg.norm(qv))
-    if nq < NORM_FLOOR:
-        raise ZeroNorm("question vector has near-zero norm")
-    nt = _norms_of(frame, tokens)
-    bad = nt < NORM_FLOOR
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ZeroNorm(f"token {j} has near-zero norm", token_index=j)
-    cos = np.clip(tokens @ qv / (nt * nq), -1.0, 1.0)
     return float(cos.mean())
 
 

@@ -30,6 +30,7 @@ from .errors import (
     InvalidSpec,
     IoFailure,
     MissingQuestion,
+    checked,
 )
 from .frames import WeightedFrame, cosine, frame_descriptor
 from .pipeline import REINIT_MODES, Pipeline
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 # wall-clock and derived-from-wall-clock fields never enter the canonical form
-VOLATILE_KEYS = frozenset({"wall_time_s", "r_squared", "canonical_sha256"})
+VOLATILE_KEYS = frozenset({"wall_time_s", "canonical_sha256"})
 
 # The run parameters that CLI flags, --config keys and sweep axes name, in
 # the order a row's ``params`` echoes them: short name -> (setting, type).
@@ -71,17 +72,6 @@ PARAM_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
 VALUE_ALIASES = {"reinit": {"merged": "merged_tokens", "last": "last_k",
                             "uniform": "uniform_sample"}}
 _CFG_FIELDS = frozenset(f.name for f in fields(ConsolidationConfig))
-
-
-def _checked(name: str, kind, value):
-    """``kind(value)``, or InvalidSpec naming ``name`` when that would change
-    the value: parse a string, truncate a float or read a bool as a number."""
-    try:
-        if not isinstance(value, bool) and kind(value) == value:
-            return kind(value)
-    except (TypeError, ValueError):
-        pass
-    raise InvalidSpec(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +107,17 @@ class ExperimentSpec:
                 raise InvalidSpec(f"unknown policy {p!r}; known: {POLICY_IDS}")
         if not self.seeds:
             raise InvalidSpec("at least one seed is required")
-        seeds = tuple(_checked("seeds", int, s) for s in self.seeds)
+        seeds = tuple(checked("seeds", int, s) for s in self.seeds)
         if any(s < 0 for s in seeds):
             raise InvalidSpec("seeds must be >= 0")
-        _checked("sample_count", int, self.sample_count)
-        _checked("ema_decay", float, self.ema_decay)
+        for name, kind in (("sample_count", int), ("ema_decay", float),
+                           ("max_grid_points", int), ("ltm_capacity", int)):
+            object.__setattr__(self, name, checked(name, kind, getattr(self, name)))
+        if self.max_grid_points < 1:
+            raise InvalidSpec(f"max_grid_points must be >= 1, got {self.max_grid_points}")
         # checked here too, not only by the engine, so that a run of
         # baselines alone cannot echo a setting no pipeline would accept
-        if _checked("ltm_capacity", int, self.ltm_capacity) < 1:
+        if self.ltm_capacity < 1:
             raise InvalidSpec(f"long-term capacity must be >= 1, got {self.ltm_capacity}")
         if self.reinit_mode not in REINIT_MODES:
             raise InvalidSpec(
@@ -167,7 +160,7 @@ def apply_params(spec: ExperimentSpec, params: dict) -> ExperimentSpec:
         aliases = VALUE_ALIASES.get(short, {})
         if isinstance(value, str):
             value = aliases.get(value, value)
-        (cfg if setting in _CFG_FIELDS else top)[setting] = _checked(name, kind, value)
+        (cfg if setting in _CFG_FIELDS else top)[setting] = checked(name, kind, value)
     return replace(spec, cfg=replace(spec.cfg, **cfg), **top)
 
 
@@ -430,19 +423,9 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
         abs(row["empirical_bytes_per_frame"] - row["amortized_bytes_per_frame"])
         <= 0.01 * row["amortized_bytes_per_frame"]
         for row in rows)
-    r_squared = None
-    if len(rows) >= 3:
-        ts = np.array([row["frame_count"] for row in rows], dtype=np.float64)
-        ws = np.array([row["wall_time_s"] for row in rows], dtype=np.float64)
-        slope, intercept = np.polyfit(ts, ws, 1)
-        fitted = slope * ts + intercept
-        ss_res = float(np.sum((ws - fitted) ** 2))
-        ss_tot = float(np.sum((ws - ws.mean()) ** 2))
-        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     summary = {
         "peak_constant": len(peaks) == 1,
         "amortized_within_1pct": amortized_ok,
-        "r_squared": r_squared,
         "gate": {"passed": bool(len(peaks) == 1 and amortized_ok)},
     }
     return build_report(spec, rows, extra={"summary": summary})

@@ -83,10 +83,7 @@ def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationCon
         score = None
         target = cfg.base_target
     else:
-        score = relevance_score(
-            frames, question, basis=cfg.basis,
-            question_similarity=cfg.question_similarity,
-            exclude_context=cfg.relevance_exclude_context)
+        score = relevance_score(frames, question, basis=cfg.basis)
         target = target_count(score, cfg)
     if _residue:
         # ceil(target * len / capacity) in exact integer arithmetic

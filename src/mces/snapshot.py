@@ -19,15 +19,14 @@ import numpy as np
 from .consolidation import ConsolidationConfig
 from .errors import InvalidSpec, IoFailure, ShapeMismatch
 from .frames import WeightedFrame
-from .memory import LongTermMemory
 from .pipeline import COUNTERS, Pipeline
 from .streamio import read_stream, write_stream
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "export_long_term",
     "export_pipeline",
     "import_pipeline",
+    "read_json",
 ]
 
 SNAPSHOT_VERSION = 1
@@ -44,56 +43,19 @@ def _frame_meta(frame: WeightedFrame, position_id: int | None = None) -> dict:
     return meta
 
 
-def _dump(doc: dict, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+def export_pipeline(pipe: Pipeline, json_path: str,
+                    sidecar_path: str | None = None) -> tuple[str, str | None]:
+    """Write a full pipeline snapshot for later resume.
 
-
-def _write(doc: dict, json_path: str, sidecar_path: str | None,
-           frames: tuple[WeightedFrame, ...]) -> tuple[str, str | None]:
-    # write the JSON, then the token matrices to a sidecar (none if no frames)
+    The sidecar (token matrices) defaults to the JSON path with a .mces
+    suffix and is omitted for a pipeline that holds no frames, since the
+    container cannot hold zero frames. Returns the paths written.
+    """
+    frames = pipe.long.entries + pipe.short.frames
     if not frames:
         sidecar_path = None
     elif sidecar_path is None:
         sidecar_path = os.path.splitext(json_path)[0] + ".mces"
-    doc["sidecar"] = None if sidecar_path is None else os.path.basename(sidecar_path)
-    _dump(doc, json_path)
-    if sidecar_path is not None:
-        write_stream(sidecar_path, np.stack([f.tokens for f in frames]).astype("<f4"))
-    return json_path, sidecar_path
-
-
-def export_long_term(memory: LongTermMemory, json_path: str,
-                     sidecar_path: str | None = None) -> tuple[str, str | None]:
-    """Write a long-term memory snapshot.
-
-    The sidecar (token matrices) defaults to the JSON path with a .mces
-    suffix and is omitted entirely for an empty memory, since the container
-    cannot hold zero frames. Returns the paths written.
-    """
-    entries = memory.entries
-    doc = {
-        "kind": "long_term_snapshot",
-        "snapshot_version": SNAPSHOT_VERSION,
-        "capacity": memory.capacity,
-        "n_tokens": memory.n_tokens,
-        "dims": memory.dims,
-        "next_position_id": memory.next_position_id,
-        "entries": [_frame_meta(e, pid)
-                    for e, pid in zip(entries, memory.position_ids)],
-    }
-    return _write(doc, json_path, sidecar_path, entries)
-
-
-def export_pipeline(pipe: Pipeline, json_path: str,
-                    sidecar_path: str | None = None) -> tuple[str, str | None]:
-    """Write a full pipeline snapshot for later resume."""
-    long_entries = pipe.long.entries
-    short_frames = pipe.short.frames
     doc = {
         "kind": "pipeline_snapshot",
         "snapshot_version": SNAPSHOT_VERSION,
@@ -107,24 +69,41 @@ def export_pipeline(pipe: Pipeline, json_path: str,
         "long": {
             "next_position_id": pipe.long.next_position_id,
             "entries": [_frame_meta(e, pid)
-                        for e, pid in zip(long_entries, pipe.long.position_ids)],
+                        for e, pid in zip(pipe.long.entries, pipe.long.position_ids)],
         },
         "short": {
             "next_source_index": pipe.short.next_source_index,
-            "frames": [_frame_meta(f) for f in short_frames],
+            "frames": [_frame_meta(f) for f in pipe.short.frames],
         },
+        "sidecar": None if sidecar_path is None else os.path.basename(sidecar_path),
     }
-    return _write(doc, json_path, sidecar_path, long_entries + short_frames)
-
-
-def _load(json_path: str) -> dict:
     try:
-        with open(json_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
     except OSError as exc:
-        raise IoFailure(f"cannot read {json_path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"snapshot {json_path!r} is not valid JSON: {exc}") from exc
+        raise IoFailure(f"cannot write {json_path!r}: {exc}") from exc
+    if sidecar_path is not None:
+        write_stream(sidecar_path, np.stack([f.tokens for f in frames]).astype("<f4"))
+    return json_path, sidecar_path
+
+
+def read_json(path: str, what: str = "a JSON object") -> dict:
+    """The JSON object held in ``path``.
+
+    Raises IoFailure when the file cannot be read, and InvalidSpec when it
+    is not JSON or holds something other than an object (``what``).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidSpec(f"{path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{path!r} is not {what}")
+    return doc
 
 
 def _sidecar_frames(doc: dict, json_path: str, expected: int):
@@ -169,8 +148,8 @@ def import_pipeline(json_path: str) -> Pipeline:
     document that is not a pipeline snapshot, or that lacks or mistypes a
     key, raises InvalidSpec naming the key.
     """
-    doc = _load(json_path)
-    if not isinstance(doc, dict) or doc.get("kind") != "pipeline_snapshot":
+    doc = read_json(json_path, "a pipeline snapshot")
+    if doc.get("kind") != "pipeline_snapshot":
         raise InvalidSpec(f"{json_path!r} is not a pipeline snapshot")
     if doc.get("snapshot_version") != SNAPSHOT_VERSION:
         raise InvalidSpec(f"unsupported snapshot version {doc.get('snapshot_version')}")

@@ -292,6 +292,68 @@ class TestRunParameters:
         assert err.startswith("config error") and name in err
 
 
+class TestChecksBeforeAnyRow:
+    """Settings that no row could use exit 2 before any row runs."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("capacity", 16.5), ("sigma", True), ("question_required", "no"),
+        ("question_similarity", "per_token"), ("relevance_exclude_context", True),
+    ])
+    def test_cfg_block_is_type_checked(self, tmp_path, capsys, key, value):
+        cpath = write_config(tmp_path, cfg={"base_target": 4, "alpha": 0.25, key: value})
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_retired_cfg_keys_at_their_value_run(self, tmp_path):
+        cpath = write_config(tmp_path, cfg={
+            "base_target": 4, "alpha": 0.25, "question_similarity": "pooled",
+            "relevance_exclude_context": False})
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert sorted(doc["spec_echo"]["cfg"]) == [
+            "alpha", "base_target", "basis", "capacity", "question_required", "sigma"]
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"max_grid_points": "x"}, "max_grid_points"),
+        ({"max_grid_points": 0}, "max_grid_points"),
+        ({"sample_count": 16.5, "policies": ["no_memory"]}, "sample_count"),
+        ({"ema_decay": True, "policies": ["ema"]}, "ema_decay"),
+    ])
+    def test_experiment_fields_checked(self, tmp_path, capsys, overrides, name):
+        cpath = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+
+    def test_integral_sample_count_is_stored_as_int(self, tmp_path):
+        rows = []
+        for count in (16.0, 16):
+            cpath = write_config(tmp_path, sample_count=count, policies=["no_memory"])
+            assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
+            doc = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert doc["spec_echo"]["sample_count"] == 16
+            rows.append(doc["canonical_sha256"])
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("extra", [
+        ("--policies", "ema"),
+        ("--policies", "stream_merge,question_merge"),
+        ("--seeds", "0,1"),
+    ])
+    def test_snapshot_needs_one_pipeline_row(self, tmp_path, capsys, extra):
+        assert main(run_args(tmp_path, gen(tmp_path), "--snapshot", *extra)) == 2
+        assert "--snapshot" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_refuses_a_sweep(self, tmp_path, capsys):
+        cpath = write_config(tmp_path, sweep={"m0": [2, 4]})
+        assert main(["run", "--config", cpath, "--snapshot",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 def _malformed(tmp_path, case):
     if case == "cfg_list":
         return ["run", "--config", write_config(tmp_path, cfg=[1])]
@@ -306,6 +368,8 @@ def _malformed(tmp_path, case):
         return ["run", "--config", write_config(tmp_path, ema_decay="x")]
     if case == "seeds_flag":
         return ["run", "--config", write_config(tmp_path), "--seeds", "a"]
+    if case == "t_list":
+        return ["bench-mem", "--config", write_config(tmp_path), "--t-list", "8,x"]
     if case == "gen_segments":
         return ["gen", "--t", "8", "--n", "1", "--d", "4", "--segments", "a:2:0.5",
                 "--out", str(tmp_path / "x.mces")]
@@ -325,7 +389,7 @@ def _malformed(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "cfg_list", "synthetic_unknown_key", "sweep_scalar", "seeds_string",
-    "ema_decay_string", "seeds_flag", "gen_segments", "question_object",
+    "ema_decay_string", "seeds_flag", "t_list", "gen_segments", "question_object",
     "snapshot_entry_without_weight", "report_row_without_rmf",
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
@@ -398,11 +462,11 @@ class TestInspect:
         # file streams carry no segment metadata, so the metric is inapplicable
         assert "rmf=n/a" in out
 
-    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    @pytest.mark.parametrize("text", ["{not json", "[]", b"\xff{}"])
     @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
     def test_garbled_json_exit_2(self, tmp_path, capsys, flag, text):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text) if isinstance(text, bytes) else bad.write_text(text)
         assert main(["inspect", flag, str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 

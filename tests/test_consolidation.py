@@ -33,7 +33,6 @@ class TestConfig:
         cfg = ConsolidationConfig()
         assert (cfg.capacity, cfg.base_target, cfg.alpha, cfg.sigma) == (16, 4, 0.25, 0.25)
         assert cfg.basis == "mean"
-        assert cfg.question_similarity == "pooled"
 
     def test_from_dict_accepts_legacy_window_keys_matching_capacity(self):
         cfg = ConsolidationConfig.from_dict(
@@ -52,6 +51,37 @@ class TestConfig:
         for bad in ({"capacity": "sixteen"}, {"window_size": None}):
             with pytest.raises(InvalidSpec):
                 ConsolidationConfig.from_dict(bad)
+
+    def test_from_dict_accepts_retired_relevance_keys_at_their_value(self):
+        cfg = ConsolidationConfig.from_dict(
+            {"capacity": 8, "question_similarity": "pooled",
+             "relevance_exclude_context": False})
+        assert cfg == ConsolidationConfig(capacity=8)
+        assert cfg.to_dict()["question_similarity"] == "pooled"
+        assert cfg.to_dict()["relevance_exclude_context"] is False
+
+    @pytest.mark.parametrize("key, value", [
+        ("question_similarity", "per_token"),
+        ("relevance_exclude_context", True),
+        ("relevance_exclude_context", 0),
+    ])
+    def test_from_dict_refuses_retired_relevance_keys_at_other_values(self, key, value):
+        with pytest.raises(InvalidSpec, match=key):
+            ConsolidationConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("capacity", 16.5), ("capacity", "16"), ("base_target", True),
+        ("sigma", True), ("alpha", "0.5"), ("basis", 1),
+        ("question_required", "no"), ("question_required", 1),
+    ])
+    def test_fields_are_type_checked(self, key, value):
+        with pytest.raises(InvalidSpec, match=key):
+            ConsolidationConfig.from_dict({key: value})
+
+    def test_integral_numbers_take_the_field_type(self):
+        cfg = ConsolidationConfig.from_dict({"capacity": 8.0, "alpha": 1})
+        assert (cfg.capacity, cfg.alpha) == (8, 1.0)
+        assert type(cfg.capacity) is int and type(cfg.alpha) is float
 
     def test_base_target_bounds(self):
         with pytest.raises(InvalidSpec):
@@ -74,8 +104,6 @@ class TestConfig:
     def test_enum_knobs(self):
         with pytest.raises(InvalidSpec):
             ConsolidationConfig(basis="median")
-        with pytest.raises(InvalidSpec):
-            ConsolidationConfig(question_similarity="tokenwise")
 
     @pytest.mark.parametrize("alpha,base,want", [
         (0.25, 4, 1),
@@ -100,27 +128,6 @@ class TestRelevanceScore:
         assert abs(relevance_score(frames, q, "min") - 0.0) < 1e-12
         assert abs(relevance_score(frames, q, "max") - 1.0) < 1e-12
 
-    def test_pooled_versus_per_token(self):
-        f = WeightedFrame.from_tokens([[1.0, 0.0], [0.0, 1.0]], 0)
-        q = [1.0, 0.0]
-        pooled = relevance_score([f], q, question_similarity="pooled")
-        per_token = relevance_score([f], q, question_similarity="per_token")
-        assert abs(pooled - np.sqrt(2.0) / 2.0) < 1e-12
-        assert abs(per_token - 0.5) < 1e-12
-
-    def test_exclude_context(self):
-        fresh, ctx = D(0, 1, 0), D(1, 0, 0).as_context()
-        q = [1.0, 0.0, 0.0]
-        both = relevance_score([ctx, fresh], q)
-        without = relevance_score([ctx, fresh], q, exclude_context=True)
-        assert abs(both - 0.5) < 1e-12
-        assert abs(without - 0.0) < 1e-12
-
-    def test_exclude_context_falls_back_when_all_context(self):
-        frames = [D(1, 0, 0).as_context(), D(1, 0, 0).as_context()]
-        s = relevance_score(frames, [1.0, 0.0, 0.0], exclude_context=True)
-        assert abs(s - 1.0) < 1e-12
-
     def test_question_scale_invariant(self, rng):
         frames = make_frames(rng, 4, 3, 6)
         q = rng.standard_normal(6)
@@ -133,8 +140,6 @@ class TestRelevanceScore:
     def test_unknown_knobs(self):
         with pytest.raises(InvalidSpec):
             relevance_score([D(1, 0, 0)], [1.0, 0.0, 0.0], basis="median")
-        with pytest.raises(InvalidSpec):
-            relevance_score([D(1, 0, 0)], [1.0, 0.0, 0.0], question_similarity="x")
 
 
 class TestTargetCount:

@@ -13,7 +13,6 @@ from mces import (
     cosine,
     frame_descriptor,
     frame_pair_similarity,
-    mean_token_similarity,
     merge_provenance,
     provenance_mass,
     unit_interval,
@@ -268,21 +267,6 @@ class TestPairSimilarity:
             frame_pair_similarity(*frames)
         assert err.value.token_index == 2
         assert f"token 2 of {('second', 'first')[side]} frame" in str(err.value)
-
-
-class TestMeanTokenSimilarity:
-    def test_uniform_tokens(self):
-        tokens = np.tile([0.0, 2.0], (4, 1))
-        assert abs(mean_token_similarity(tokens, [0.0, 1.0]) - 1.0) < 1e-12
-
-    def test_mixed_directions(self):
-        tokens = np.array([[1.0, 0.0], [0.0, 1.0]])
-        s = mean_token_similarity(tokens, [1.0, 0.0])
-        assert abs(s - 0.5) < 1e-12
-
-    def test_zero_question_refused(self, rng):
-        with pytest.raises(ZeroNorm):
-            mean_token_similarity(rng.standard_normal((2, 3)), [0.0, 0.0, 0.0])
 
 
 class TestWeightedMerge:

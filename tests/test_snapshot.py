@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +12,15 @@ from mces import (
     ConsolidationConfig,
     InvalidSpec,
     IoFailure,
-    LongTermMemory,
     Pipeline,
     ShapeMismatch,
-    export_long_term,
     export_pipeline,
     import_pipeline,
     write_stream,
 )
 
-from conftest import make_frames
-
 Q = np.array([0.6, 0.8, 0.0, 0.0])
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def small_pipeline(rng, pushes=20):
@@ -136,12 +134,12 @@ class TestImport:
             assert fa.provenance == fb.provenance
             assert np.allclose(fa.tokens, fb.tokens, atol=1e-5)
 
-    def test_wrong_kind_rejected(self, tmp_path, rng):
-        mem = LongTermMemory(8)
-        mem.append(make_frames(rng, 3, 2, 4))
-        jp, _ = export_long_term(mem, str(tmp_path / "ltm.json"))
-        with pytest.raises(InvalidSpec):
-            import_pipeline(jp)
+    def test_wrong_kind_rejected(self, tmp_path):
+        (tmp_path / "ltm.json").write_text(json.dumps(
+            {"kind": "long_term_snapshot", "snapshot_version": 1, "capacity": 8,
+             "entries": [], "sidecar": None}))
+        with pytest.raises(InvalidSpec, match="not a pipeline snapshot"):
+            import_pipeline(str(tmp_path / "ltm.json"))
 
     def test_unknown_version_rejected(self, tmp_path, rng):
         jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "s.json"))
@@ -174,7 +172,12 @@ class TestImport:
         assert (config["window_size"], config["windows_per_fill"]) == (8, 1)
         assert_same_state(import_pipeline(jp), pipe, tokens_exact=False)
 
-    @pytest.mark.parametrize("key, value", [("bogus", 1), ("window_size", 4)])
+    @pytest.mark.parametrize("key, value", [
+        ("bogus", 1), ("window_size", 4),
+        ("question_similarity", "per_token"), ("relevance_exclude_context", True),
+        ("relevance_exclude_context", 0), ("capacity", 16.5), ("sigma", True),
+        ("question_required", "no"),
+    ])
     def test_bad_config_key_rejected(self, tmp_path, rng, key, value):
         jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "s.json"))
         doc = json.loads((tmp_path / "s.json").read_text())
@@ -182,6 +185,14 @@ class TestImport:
         (tmp_path / "s.json").write_text(json.dumps(doc))
         with pytest.raises(InvalidSpec):
             import_pipeline(jp)
+
+    def test_retired_relevance_keys_load_at_their_value(self, tmp_path, rng):
+        pipe = small_pipeline(rng)
+        jp, _ = export_pipeline(pipe, str(tmp_path / "s.json"))
+        config = json.loads((tmp_path / "s.json").read_text())["config"]
+        assert config["question_similarity"] == "pooled"
+        assert config["relevance_exclude_context"] is False
+        assert import_pipeline(jp).cfg == pipe.cfg
 
     @pytest.mark.parametrize("path, value, match", [
         ((), [], "not a pipeline snapshot"),
@@ -223,20 +234,35 @@ class TestImport:
             import_pipeline(str(tmp_path / "bad.json"))
 
 
-class TestLongTermExport:
-    def test_document_fields(self, tmp_path, rng):
-        mem = LongTermMemory(8)
-        mem.append(make_frames(rng, 5, 2, 4))
-        jp, sp = export_long_term(mem, str(tmp_path / "ltm.json"))
-        doc = json.loads((tmp_path / "ltm.json").read_text())
-        assert doc["kind"] == "long_term_snapshot"
-        assert doc["capacity"] == 8
-        assert doc["next_position_id"] == 5
-        assert [e["position_id"] for e in doc["entries"]] == [0, 1, 2, 3, 4]
-        assert [e["weight"] for e in doc["entries"]] == [1] * 5
-        assert sp == str(tmp_path / "ltm.mces")
+class TestFormatOneFixture:
+    """A snapshot written before the retired relevance options were removed.
 
-    def test_empty_memory_no_sidecar(self, tmp_path):
-        jp, sp = export_long_term(LongTermMemory(4), str(tmp_path / "ltm.json"))
-        assert sp is None
-        assert json.loads((tmp_path / "ltm.json").read_text())["entries"] == []
+    It holds Pipeline(2, 4, question=Q, ltm_capacity=8) after the first 37
+    of the frames below; its config carries question_similarity "pooled"
+    and relevance_exclude_context false.
+    """
+
+    FRAMES = np.random.default_rng(7).standard_normal((60, 2, 4))
+
+    def whole(self, count):
+        pipe = Pipeline(2, 4, question=Q, ltm_capacity=8)
+        for f in self.FRAMES[:count]:
+            pipe.step(f)
+        return pipe
+
+    def test_loads_and_resumes(self):
+        resumed = import_pipeline(str(FIXTURES / "snapshot_v1.json"))
+        assert_same_state(resumed, self.whole(37), tokens_exact=False)
+        for f in self.FRAMES[37:]:
+            resumed.step(f)
+        resumed.flush()
+        whole = self.whole(60)
+        whole.flush()
+        assert_same_state(resumed, whole, tokens_exact=False)
+
+    def test_re_export_is_byte_identical(self, tmp_path):
+        export_pipeline(import_pipeline(str(FIXTURES / "snapshot_v1.json")),
+                        str(tmp_path / "snapshot_v1.json"))
+        for suffix in (".json", ".mces"):
+            assert (tmp_path / f"snapshot_v1{suffix}").read_bytes() == \
+                   (FIXTURES / f"snapshot_v1{suffix}").read_bytes()
