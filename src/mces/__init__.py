@@ -52,6 +52,7 @@ from .streamio import (
     StreamHeader,
     SyntheticSpec,
     generate_synthetic,
+    iter_stream,
     iter_synthetic,
     read_stream,
     write_stream,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from typing import Iterator
 
 import numpy as np
 
@@ -29,16 +30,17 @@ class DegenerateFrameWarning(UserWarning):
     """A pooled frame came out with a near-zero token row."""
 
 
-def _frame_list(frames) -> list[np.ndarray]:
-    if isinstance(frames, np.ndarray):
-        if frames.ndim != 3:
-            raise InvalidSpec(f"expected (T, N, D) frames, got shape {frames.shape}")
-        out = [frames[i] for i in range(frames.shape[0])]
-    else:
-        out = [np.asarray(f) for f in frames]
-    if not out:
+def _iter_frames(frames) -> Iterator[np.ndarray]:
+    # the frames one at a time, holding none after it has moved past it;
+    # EmptyInput when there are none
+    if isinstance(frames, np.ndarray) and frames.ndim != 3:
+        raise InvalidSpec(f"expected (T, N, D) frames, got shape {frames.shape}")
+    empty = True
+    for frame in frames:
+        empty = False
+        yield frame
+    if empty:
         raise EmptyInput("no frames")
-    return out
 
 
 def uniform_sample_indices(total: int, count: int) -> list[int]:
@@ -54,17 +56,26 @@ def uniform_sample_indices(total: int, count: int) -> list[int]:
 
 
 def no_memory(frames, sample_count: int = 16) -> list[WeightedFrame]:
-    """Keep a uniform sample of raw frames; everything else is forgotten."""
-    fl = _frame_list(frames)
-    return [WeightedFrame.from_tokens(fl[i], i)
-            for i in uniform_sample_indices(len(fl), sample_count)]
+    """Keep a uniform sample of raw frames; everything else is forgotten.
+
+    The sample indices come from ``len(frames)`` (an iterable without a
+    length is listed first), and only the sampled frames are held.
+    """
+    if not hasattr(frames, "__len__"):
+        frames = list(frames)
+    total = len(frames)
+    keep = set(uniform_sample_indices(total, sample_count)) if total else ()
+    return [WeightedFrame.from_tokens(f, i)
+            for i, f in enumerate(_iter_frames(frames)) if i in keep]
 
 
 def spatial_pool(frames) -> list[WeightedFrame]:
-    """Collapse each frame to a single token, the mean over its rows."""
-    fl = _frame_list(frames)
+    """Collapse each frame to a single token, the mean over its rows.
+
+    Its output holds one token per input frame, so it grows with T.
+    """
     out = []
-    for i, f in enumerate(fl):
+    for i, f in enumerate(_iter_frames(frames)):
         pooled = np.asarray(f, dtype=np.float64).mean(axis=0, keepdims=True)
         _warn_if_degenerate(pooled, f"spatial_pool frame {i}")
         out.append(WeightedFrame(tokens=pooled, weight=1,
@@ -73,26 +84,36 @@ def spatial_pool(frames) -> list[WeightedFrame]:
 
 
 def temporal_pool(frames) -> WeightedFrame:
-    """Collapse the whole stream to one frame, each token averaged over time."""
-    fl = _frame_list(frames)
-    stack = np.stack([np.asarray(f, dtype=np.float64) for f in fl])
-    pooled = stack.mean(axis=0)
+    """Collapse the whole stream to one frame, each token averaged over time.
+
+    One pass: a float64 sum in frame order, divided by T, which is bitwise
+    the mean of the stacked frames.
+    """
+    it = _iter_frames(frames)
+    total = np.array(next(it), dtype=np.float64)
+    count = 1
+    for f in it:
+        total += f
+        count += 1
+    pooled = total / count
     _warn_if_degenerate(pooled, "temporal_pool output")
-    return WeightedFrame(tokens=pooled, weight=len(fl),
-                         provenance=((0, len(fl), 1),))
+    return WeightedFrame(tokens=pooled, weight=count,
+                         provenance=((0, count, 1),))
 
 
 def ema(frames, decay: float = 0.5) -> WeightedFrame:
     """Exponential moving average over frames: m_t = decay*m_{t-1} + (1-decay)*x_t."""
     if not 0.0 <= decay < 1.0:
         raise InvalidLambda(f"decay must be in [0, 1), got {decay}")
-    fl = _frame_list(frames)
-    state = np.asarray(fl[0], dtype=np.float64).copy()
-    for f in fl[1:]:
+    it = _iter_frames(frames)
+    state = np.array(next(it), dtype=np.float64)
+    count = 1
+    for f in it:
         state = decay * state + (1.0 - decay) * np.asarray(f, dtype=np.float64)
+        count += 1
     _warn_if_degenerate(state, "ema output")
-    return WeightedFrame(tokens=state, weight=len(fl),
-                         provenance=((0, len(fl), 1),))
+    return WeightedFrame(tokens=state, weight=count,
+                         provenance=((0, count, 1),))
 
 
 def _warn_if_degenerate(tokens: np.ndarray, what: str) -> None:

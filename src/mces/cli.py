@@ -36,7 +36,9 @@ from .harness import (
     write_report,
 )
 from .snapshot import export_pipeline, read_json
-from .streamio import SyntheticSpec, generate_synthetic, read_stream, write_stream
+from .streamio import SyntheticSpec, iter_stream, iter_synthetic, write_stream
+# unused here; kept only so bench/spans.py can wrap cli.read_stream
+from .streamio import read_stream  # noqa: F401
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment spec; flags override it")
@@ -77,7 +79,8 @@ def _parse_question(value):
         if value.endswith(".npy"):
             return [float(v) for v in np.load(value).reshape(-1)]
         if value.endswith(".mces"):
-            _, _, q = read_stream(value)
+            _, q, frames = iter_stream(value)
+            frames.close()
             if q is None:
                 raise ConfigError(f"{value!r} carries no question vector")
             return [float(v) for v in q]
@@ -164,9 +167,10 @@ def _cmd_gen(args) -> int:
     with _reading(_inputs(args)):
         spec = SyntheticSpec(**{**doc.get("synthetic", {}),
                                 **{k: v for k, v in flags.items() if v is not None}})
-    frames, question = generate_synthetic(spec)
+    question, frames = iter_synthetic(spec)
     out = args.out_file
-    write_stream(out, frames, question if args.with_question else None)
+    write_stream(out, frames, question if args.with_question else None,
+                 frame_count=spec.frame_count)
     print(out)
     return 0
 
@@ -205,12 +209,15 @@ def _cmd_bench_mem(args) -> int:
 
 def _cmd_inspect(args) -> int:
     if args.stream:
-        header, frames, question = read_stream(args.stream)
+        header, question, frames = iter_stream(args.stream)
+        # one pass checks every value and keeps one float32 norm per frame,
+        # computed as for a row of the (T, N*D) payload
+        norms = np.fromiter((np.linalg.norm(f.reshape(1, -1), axis=1)[0] for f in frames),
+                            dtype=np.float32, count=header.frame_count)
         print(f"stream {args.stream}")
         print(f"  frames {header.frame_count}  tokens {header.n_tokens}  "
               f"dims {header.dims}  question {'yes' if question is not None else 'no'}")
         print(f"  bytes {header.total_bytes()}")
-        norms = np.linalg.norm(frames.reshape(header.frame_count, -1), axis=1)
         print(f"  frame norm min {norms.min():.4f} mean {norms.mean():.4f} "
               f"max {norms.max():.4f}")
         return 0

@@ -34,7 +34,9 @@ from .errors import (
 )
 from .frames import WeightedFrame, cosine, frame_descriptor
 from .pipeline import REINIT_MODES, Pipeline
-from .streamio import SyntheticSpec, generate_synthetic, iter_synthetic, read_stream
+from .streamio import SyntheticSpec, generate_synthetic, iter_stream, iter_synthetic
+# unused here; kept only so bench/spans.py can wrap harness.read_stream
+from .streamio import read_stream  # noqa: F401
 
 __all__ = [
     "PARAMS",
@@ -113,6 +115,10 @@ class ExperimentSpec:
         for name, kind in (("sample_count", int), ("ema_decay", float),
                            ("max_grid_points", int), ("ltm_capacity", int)):
             object.__setattr__(self, name, checked(name, kind, getattr(self, name)))
+        if self.sample_count < 1:
+            raise InvalidSpec(f"sample_count must be >= 1, got {self.sample_count}")
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise InvalidSpec(f"ema_decay must be in [0, 1), got {self.ema_decay}")
         if self.max_grid_points < 1:
             raise InvalidSpec(f"max_grid_points must be >= 1, got {self.max_grid_points}")
         # checked here too, not only by the engine, so that a run of
@@ -244,14 +250,39 @@ def _params_echo(spec: ExperimentSpec) -> dict:
 # -- drivers -------------------------------------------------------------
 
 
+class _FileFrames:
+    """A stream file's frames, read one chunk at a time on every pass.
+
+    It stands in for the (T, N, D) array of a synthetic stream: ``shape``
+    and ``len`` come from the header, and each iteration reopens the file,
+    so a row holds one chunk of it, never the whole stream.
+    """
+
+    def __init__(self, path: str, header):
+        self.path = path
+        self.shape = (header.frame_count, header.n_tokens, header.dims)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        return iter_stream(self.path)[2]
+
+
 def _stream_for(spec: ExperimentSpec, seed: int):
-    """Materialize (frames, question, segments) for one row seed."""
+    """(frames, question, segments) for one row seed.
+
+    A synthetic stream is generated once into an array, which every row of
+    the seed reuses; a file stream is read again by each row.
+    """
     if spec.synthetic is not None:
         sspec = replace(spec.synthetic, seed=seed)
         frames, question = generate_synthetic(sspec)
         segments = sspec.segments
     else:
-        _, frames, question = read_stream(spec.stream_file)
+        header, question, lazy = iter_stream(spec.stream_file)
+        lazy.close()
+        frames = _FileFrames(spec.stream_file, header)
         segments = ()
     if spec.question is not None:
         question = np.asarray(spec.question, dtype=np.float64)
@@ -266,7 +297,8 @@ def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeli
         # stream_merge ignores the question by definition
         question = None
         cfg = replace(cfg, question_required=False)
-    pipe = Pipeline(frames[0].shape[0], frames[0].shape[1], cfg, question=question,
+    _, n_tokens, dims = frames.shape
+    pipe = Pipeline(n_tokens, dims, cfg, question=question,
                     ltm_capacity=spec.ltm_capacity, reinit_mode=spec.reinit_mode)
     deque(pipe._stream_reports(frames), maxlen=0)
     return pipe
@@ -296,8 +328,8 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int,
                     "ltm_total_weight": pipe.long.total_weight()}
     wall = time.perf_counter() - t0
     metrics = compute_relevance_metrics(retained, segments, question)
-    budget = token_budget(policy, frame_count=len(frames),
-                          n_tokens=frames[0].shape[0],
+    budget = token_budget(policy, frame_count=frames.shape[0],
+                          n_tokens=frames.shape[1],
                           sample_count=spec.sample_count,
                           ltm_capacity=spec.ltm_capacity)
     return {

@@ -84,7 +84,8 @@ def export_pipeline(pipe: Pipeline, json_path: str,
     except OSError as exc:
         raise IoFailure(f"cannot write {json_path!r}: {exc}") from exc
     if sidecar_path is not None:
-        write_stream(sidecar_path, np.stack([f.tokens for f in frames]).astype("<f4"))
+        # one frame at a time, cast to float32 as it is written
+        write_stream(sidecar_path, (f.tokens for f in frames), frame_count=len(frames))
     return json_path, sidecar_path
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -45,6 +46,7 @@ __all__ = [
     "StreamHeader",
     "write_stream",
     "read_stream",
+    "iter_stream",
     "SyntheticSpec",
     "iter_synthetic",
     "generate_synthetic",
@@ -193,6 +195,41 @@ def _read_exact(fh, size: int, what: str) -> bytearray:
     return buf
 
 
+def _open(source):
+    # (file object, whether we opened it) for a path or a binary file object
+    own = isinstance(source, str) or hasattr(source, "__fspath__")
+    try:
+        return (open(source, "rb") if own else source), own
+    except OSError as exc:
+        raise IoFailure(f"cannot open {source!r}: {exc}") from exc
+
+
+def _read_head(fh):
+    # the header and the optional question vector, leaving fh at the payload
+    header = _unpack_header(_read_exact(fh, HEADER_SIZE, "header"))
+    question = None
+    if header.has_question:
+        raw = _read_exact(fh, header.dims * 4, "question vector")
+        question = np.frombuffer(raw, dtype=_F32)
+        if not np.isfinite(question).all():
+            raise NonFiniteValue("question vector is not finite")
+    return header, question
+
+
+def _payload(raw, header: StreamHeader, first: int) -> np.ndarray:
+    # raw bytes as (T', N, D) frames, the first of which is frame ``first``;
+    # the first non-finite value is named by its absolute frame and token
+    frames = np.frombuffer(raw, dtype=_F32).reshape(-1, header.n_tokens, header.dims)
+    finite = np.isfinite(frames)
+    if not finite.all():
+        flat = int(np.argmax(~finite.reshape(-1)))
+        fi, rem = divmod(flat, header.n_tokens * header.dims)
+        raise NonFiniteValue(
+            f"frame {first + fi} token {rem // header.dims} is not finite",
+            frame_index=first + fi, token_index=rem // header.dims)
+    return frames
+
+
 def read_stream(source):
     """Read a stream from a path, bytes, or binary file object.
 
@@ -203,33 +240,57 @@ def read_stream(source):
     """
     if isinstance(source, (bytes, bytearray)):
         return read_stream(io.BytesIO(source))
-    own = isinstance(source, str) or hasattr(source, "__fspath__")
+    fh, own = _open(source)
     try:
-        fh = open(source, "rb") if own else source
-    except OSError as exc:
-        raise IoFailure(f"cannot open {source!r}: {exc}") from exc
-    try:
-        header = _unpack_header(_read_exact(fh, HEADER_SIZE, "header"))
-        question = None
-        if header.has_question:
-            raw = _read_exact(fh, header.dims * 4, "question vector")
-            question = np.frombuffer(raw, dtype=_F32)
-            if not np.isfinite(question).all():
-                raise NonFiniteValue("question vector is not finite")
+        header, question = _read_head(fh)
         payload = _read_exact(fh, header.frame_count * header.frame_bytes(), "frame payload")
-        frames = np.frombuffer(payload, dtype=_F32).reshape(
-            header.frame_count, header.n_tokens, header.dims)
-        finite = np.isfinite(frames)
-        if not finite.all():
-            flat = int(np.argmax(~finite.reshape(-1)))
-            fi, rem = divmod(flat, header.n_tokens * header.dims)
-            raise NonFiniteValue(
-                f"frame {fi} token {rem // header.dims} is not finite",
-                frame_index=fi, token_index=rem // header.dims)
-        return header, frames, question
+        return header, _payload(payload, header, 0), question
     finally:
         if own:
             fh.close()
+
+
+# bytes read per chunk by iter_stream
+_CHUNK_BYTES = 1 << 20
+
+
+def iter_stream(path):
+    """Read the stream file at ``path`` one chunk of frames at a time.
+
+    Returns ``(header, question, frames)`` where frames is a lazy iterator
+    of (N, D) float32 views of chunks of about 1 MiB, so what a reader
+    holds does not grow with the stream's length. The header, the question
+    and the file's length are checked before this returns (a short payload
+    raises Truncated as :func:`read_stream` does); each chunk is checked
+    finite as it is read. The file closes when the iterator is exhausted,
+    closed or collected.
+    """
+    fh, _ = _open(path)
+    try:
+        header, question = _read_head(fh)
+        wanted = header.frame_count * header.frame_bytes()
+        got = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+        if got < wanted:
+            raise Truncated(
+                f"stream ends inside frame payload: wanted {wanted} bytes, got {got}")
+    except BaseException:
+        fh.close()
+        raise
+    frames = _chunks(fh, header)
+    next(frames)  # enter the body, so that closing the iterator closes fh
+    return header, question, frames
+
+
+def _chunks(fh, header: StreamHeader) -> Iterator[np.ndarray]:
+    per_chunk = max(1, _CHUNK_BYTES // header.frame_bytes())
+    with fh:
+        yield None
+        for first in range(0, header.frame_count, per_chunk):
+            count = min(per_chunk, header.frame_count - first)
+            # unbound, so a chunk is freed once its last frame is dropped
+            yield from _payload(
+                _read_exact(fh, count * header.frame_bytes(), "frame payload"),
+                header, first)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,66 @@ from mces import (
     token_budget,
     uniform_sample_indices,
 )
+
+
+class OnePass:
+    """A frame source with a length that may be iterated only once."""
+
+    def __init__(self, frames):
+        self.frames, self.passes, self.held, self.peak = frames, 0, [], 0
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __iter__(self):
+        self.passes += 1
+        assert self.passes == 1, "iterated twice"
+        for f in self.frames:
+            # a fresh copy per frame, so a test can see which ones are kept
+            f = f.copy()
+            self.held.append(weakref.ref(f))
+            self.peak = max(self.peak, self.alive())
+            yield f
+
+    def alive(self):
+        # input frames still referenced by anyone
+        return sum(ref() is not None for ref in self.held)
+
+
+class TestOnePass:
+    """Every baseline reads its input in one pass, holding what it keeps."""
+
+    @pytest.mark.parametrize("policy", [no_memory, spatial_pool, temporal_pool, ema])
+    def test_one_pass_matches_the_array(self, rng, policy):
+        frames = rng.standard_normal((40, 2, 3))
+        source = OnePass(frames)
+        got, want = policy(source), policy(frames)
+        got, want = (got, want) if isinstance(got, list) else ([got], [want])
+        assert [f.provenance for f in got] == [f.provenance for f in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.tokens, w.tokens)
+        assert source.passes == 1
+        # the frame being read and the one before it, never the stream
+        assert source.peak <= 2
+        gc.collect()
+        assert source.alive() == 0
+
+    def test_no_memory_keeps_the_sample_indices_of_t(self, rng):
+        kept = no_memory(OnePass(rng.standard_normal((40, 2, 3))), sample_count=4)
+        assert [f.provenance[0][0] for f in kept] == [0, 10, 20, 30]
+
+    @pytest.mark.parametrize("policy", [no_memory, spatial_pool, temporal_pool, ema])
+    def test_a_generator_is_accepted(self, rng, policy):
+        frames = rng.standard_normal((9, 2, 3))
+        got, want = policy(iter(frames)), policy(frames)
+        got, want = (got, want) if isinstance(got, list) else ([got], [want])
+        for g, w in zip(got, want):
+            assert np.array_equal(g.tokens, w.tokens)
+
+    @pytest.mark.parametrize("policy", [spatial_pool, temporal_pool, ema])
+    def test_empty_iterable(self, policy):
+        with pytest.raises(EmptyInput):
+            policy(iter([]))
 
 
 class TestUniformSample:
@@ -85,6 +148,13 @@ class TestTemporalPool:
         assert np.allclose(pooled.tokens, slow, atol=1e-12)
         assert pooled.weight == 7
         assert pooled.provenance == ((0, 7, 1),)
+
+    @pytest.mark.parametrize("shape", [(8, 32), (16, 128), (32, 256)])
+    def test_bitwise_equal_to_the_stacked_mean(self, rng, shape):
+        # the running float64 sum in frame order is the stacked mean's own order
+        frames = rng.standard_normal((50, *shape)).astype(np.float32)
+        stacked = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
+        assert np.array_equal(temporal_pool(frames).tokens, stacked.mean(axis=0))
 
     def test_cancelling_stream_warns(self, rng):
         f = rng.standard_normal((1, 2, 3))

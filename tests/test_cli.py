@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mces import ConsolidationConfig, Pipeline, import_pipeline, read_stream, write_stream
+from mces import (
+    ConsolidationConfig,
+    Pipeline,
+    SyntheticSpec,
+    generate_synthetic,
+    import_pipeline,
+    read_stream,
+    write_stream,
+)
+from mces import harness
 from mces.cli import main
 
 
@@ -58,6 +67,14 @@ class TestGen:
 
     def test_segments_parsed(self, tmp_path):
         gen(tmp_path, extra=["--segments", "8:16:0.9,24:32:0.5"])
+
+    def test_streamed_write_equals_the_batch_write(self, tmp_path):
+        path = gen(tmp_path, extra=["--segments", "8:16:0.9"])
+        frames, q = generate_synthetic(SyntheticSpec(
+            frame_count=40, n_tokens=2, dims=8, seed=0, segments=((8, 16, 0.9),)))
+        batch = tmp_path / "batch.mces"
+        write_stream(batch, frames, q)
+        assert (tmp_path / "s.mces").read_bytes() == batch.read_bytes()
 
     def test_bad_segments_exit_2(self, tmp_path, capsys):
         rc = main(["gen", "--t", "8", "--n", "1", "--d", "4",
@@ -159,6 +176,18 @@ class TestRun:
         stream = gen(tmp_path, extra=["--no-question"])
         rc = main(run_args(tmp_path, stream, "--question", stream))
         assert rc == 2
+
+    def test_question_from_stream_reads_no_payload(self, tmp_path):
+        # only the header and the question are read, so a bad frame is no bar
+        stream = gen(tmp_path, extra=["--no-question"])
+        donor = tmp_path / "donor.mces"
+        write_stream(donor, np.full((2, 1, 8), np.float32(1.0)), np.eye(8)[0])
+        raw = bytearray(donor.read_bytes())
+        raw[-4:] = np.array([np.nan], "<f4").tobytes()
+        donor.write_bytes(raw)
+        assert main(run_args(tmp_path, stream, "--question", str(donor))) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["spec_echo"]["question"] == list(np.eye(8)[0])
 
 
 class TestConfigFile:
@@ -327,6 +356,24 @@ class TestChecksBeforeAnyRow:
         err = capsys.readouterr().err
         assert err.startswith("config error") and name in err
 
+    @pytest.mark.parametrize("overrides, name", [
+        ({"sample_count": 0}, "sample_count"),
+        ({"sample_count": -1}, "sample_count"),
+        ({"ema_decay": 1.0}, "ema_decay"),
+        ({"ema_decay": -0.5}, "ema_decay"),
+    ])
+    def test_experiment_fields_range_checked(self, tmp_path, capsys, monkeypatch,
+                                             overrides, name):
+        rows = []
+        monkeypatch.setattr(harness, "_run_single", lambda *args: rows.append(args))
+        cpath = write_config(tmp_path, policies=["stream_merge", "no_memory", "ema"],
+                             **overrides)
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+        assert rows == []
+        assert not (tmp_path / "out").exists()
+
     def test_integral_sample_count_is_stored_as_int(self, tmp_path):
         rows = []
         for count in (16.0, 16):
@@ -441,6 +488,29 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "frames 40" in out
         assert "question yes" in out
+
+    def test_stream_norms_match_the_whole_payload(self, tmp_path, capsys):
+        stream = gen(tmp_path)
+        assert main(["inspect", "--stream", stream]) == 0
+        _, frames, _ = read_stream(stream)
+        norms = np.linalg.norm(frames.reshape(len(frames), -1), axis=1)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"  frame norm min {norms.min():.4f} mean {norms.mean():.4f} "
+            f"max {norms.max():.4f}")
+
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_bad_stream_prints_nothing_and_exits_3(self, tmp_path, capsys, damage):
+        stream = Path(gen(tmp_path))
+        capsys.readouterr()
+        raw = bytearray(stream.read_bytes())
+        if damage == "truncate":
+            raw = raw[:-4]
+        else:
+            raw[-8:-4] = np.array([np.inf], "<f4").tobytes()
+        stream.write_bytes(raw)
+        assert main(["inspect", "--stream", str(stream)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error")
 
     def test_snapshot_summary(self, tmp_path, capsys):
         stream = gen(tmp_path)

@@ -28,7 +28,7 @@ from mces import (
     write_report,
     write_stream,
 )
-from mces.harness import _run_pipeline, apply_params
+from mces.harness import BASELINES, _run_pipeline, _stream_for, apply_params
 
 
 def tiny_synth(**kw):
@@ -76,6 +76,14 @@ class TestExperimentSpec:
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(InvalidSpec):
+            ExperimentSpec(synthetic=tiny_synth(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_count", 0), ("sample_count", -3),
+        ("ema_decay", 1.0), ("ema_decay", -0.1), ("ema_decay", float("nan")),
+    ])
+    def test_range_checked_when_built(self, field, value):
+        with pytest.raises(InvalidSpec, match=field):
             ExperimentSpec(synthetic=tiny_synth(), **{field: value})
 
     def test_to_dict_echoes_everything(self):
@@ -188,6 +196,43 @@ class TestRun:
         report = run(ExperimentSpec(stream_file=path, policies=("question_merge",),
                                     question=(1.0, 0.0, 0.0, 0.0)))
         assert len(report["rows"]) == 1
+
+
+class TestFileSource:
+    """A file stream is read again, one chunk at a time, by every row."""
+
+    @pytest.fixture
+    def stream(self, tmp_path, rng):
+        frames = rng.standard_normal((50, 2, 4)).astype(np.float32)
+        path = str(tmp_path / "s.mces")
+        write_stream(path, frames, np.array([1.0, 0.0, 0.0, 0.0]))
+        return path, frames
+
+    def test_shape_from_header_and_iterable_again(self, stream):
+        path, frames = stream
+        source, question, segments = _stream_for(ExperimentSpec(stream_file=path), 0)
+        assert source.shape == frames.shape and len(source) == 50
+        assert np.array_equal(question, [1.0, 0.0, 0.0, 0.0]) and segments == ()
+        for _ in range(2):
+            assert np.array_equal(np.stack(list(source)), frames)
+
+    @pytest.mark.parametrize("policy", sorted(BASELINES))
+    def test_baselines_see_the_payload(self, stream, policy):
+        path, frames = stream
+        spec = ExperimentSpec(stream_file=path, sample_count=8)
+        source, _, _ = _stream_for(spec, 0)
+        got, want = BASELINES[policy](spec, source), BASELINES[policy](spec, frames)
+        assert [f.provenance for f in got] == [f.provenance for f in want]
+        assert all(np.array_equal(g.tokens, w.tokens) for g, w in zip(got, want))
+
+    def test_pipeline_sees_the_payload(self, stream):
+        path, frames = stream
+        spec = ExperimentSpec(stream_file=path, ltm_capacity=4)
+        source, question, _ = _stream_for(spec, 0)
+        got = _run_pipeline("question_merge", source, question, spec).long.entries
+        want = _run_pipeline("question_merge", frames, question, spec).long.entries
+        assert [f.provenance for f in got] == [f.provenance for f in want]
+        assert all(np.array_equal(g.tokens, w.tokens) for g, w in zip(got, want))
 
 
 class TestSweep:

@@ -18,6 +18,7 @@ from mces import (
     import_pipeline,
     write_stream,
 )
+from mces import snapshot
 
 Q = np.array([0.6, 0.8, 0.0, 0.0])
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -70,6 +71,26 @@ class TestExport:
         jp, sp = export_pipeline(small_pipeline(rng), str(tmp_path / "snap.json"))
         assert sp == str(tmp_path / "snap.mces")
         assert (tmp_path / "snap.mces").exists()
+
+    def test_sidecar_equals_the_stacked_float32_write(self, tmp_path, rng):
+        pipe = small_pipeline(rng, pushes=45)
+        export_pipeline(pipe, str(tmp_path / "s.json"))
+        frames = pipe.long.entries + pipe.short.frames
+        write_stream(tmp_path / "want.mces",
+                     np.stack([f.tokens for f in frames]).astype("<f4"))
+        assert (tmp_path / "s.mces").read_bytes() == (tmp_path / "want.mces").read_bytes()
+
+    def test_sidecar_written_one_frame_at_a_time(self, tmp_path, rng, monkeypatch):
+        seen = []
+
+        def spy(path, frames, question=None, *, frame_count=None):
+            seen.append((isinstance(frames, np.ndarray), frame_count))
+            return write_stream(path, frames, question, frame_count=frame_count)
+
+        monkeypatch.setattr(snapshot, "write_stream", spy)
+        pipe = small_pipeline(rng)
+        export_pipeline(pipe, str(tmp_path / "s.json"))
+        assert seen == [(False, len(pipe.long) + len(pipe.short))]
 
     def test_empty_pipeline_has_no_sidecar(self, tmp_path):
         pipe = Pipeline(2, 4)

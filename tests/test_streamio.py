@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import io
+import os
 import struct
 import tracemalloc
 
@@ -10,6 +12,8 @@ import pytest
 from mces import (
     HEADER_SIZE,
     BadMagic,
+    ConsolidationConfig,
+    ExperimentSpec,
     InvalidSpec,
     NonFiniteValue,
     ShapeMismatch,
@@ -21,10 +25,13 @@ from mces import (
     cosine,
     frame_descriptor,
     generate_synthetic,
+    iter_stream,
     iter_synthetic,
     read_stream,
+    run,
     write_stream,
 )
+from mces import streamio
 
 _HEADER = struct.Struct("<4sHIHHH4s")
 
@@ -230,6 +237,160 @@ class TestReadValidation:
         write_stream(buf, frames)
         _, back, _ = read_stream(buf.getvalue() + b"junk")
         assert np.array_equal(back, frames)
+
+
+class TestIterStream:
+    """The chunked reader yields read_stream's frames, checks them and closes its file."""
+
+    # (N, D) frames of 64 KiB, so a chunk holds a known handful of them
+    N, D = 16, 1024
+
+    def per_chunk(self):
+        return streamio._CHUNK_BYTES // (self.N * self.D * 4)
+
+    def write(self, tmp_path, rng, t, question=True):
+        path = str(tmp_path / f"s{t}.mces")
+        frames = rng.standard_normal((t, self.N, self.D)).astype(np.float32)
+        q = rng.standard_normal(self.D) if question else None
+        write_stream(path, frames, q)
+        return path
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("question", [True, False])
+    def test_frames_bitwise_equal_read_stream(self, tmp_path, rng, offset, question):
+        # below, at and across a chunk boundary
+        path = self.write(tmp_path, rng, self.per_chunk() + offset, question)
+        want_header, want, want_q = read_stream(path)
+        header, q, frames = iter_stream(path)
+        got = list(frames)
+        assert header == want_header
+        assert (q is None) == (want_q is None)
+        if question:
+            assert np.array_equal(q, want_q)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and g.shape == (self.N, self.D)
+            assert np.array_equal(g, w)
+
+    def test_several_chunks(self, tmp_path, rng):
+        path = self.write(tmp_path, rng, 2 * self.per_chunk() + 3)
+        _, want, _ = read_stream(path)
+        assert np.array_equal(np.stack(list(iter_stream(path)[2])), want)
+
+    def test_truncated_raised_before_any_frame(self, tmp_path, rng):
+        path = self.write(tmp_path, rng, self.per_chunk() + 2)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 40)
+        with pytest.raises(Truncated) as want:
+            read_stream(path)
+        with pytest.raises(Truncated) as got:
+            iter_stream(path)
+        assert str(got.value) == str(want.value)
+        assert "wanted" in str(got.value)
+
+    def test_truncated_question_and_header(self, tmp_path):
+        h = StreamHeader(frame_count=1, n_tokens=1, dims=4, has_question=True)
+        for raw in (b"MCES\x01\x00", h.pack() + b"\x00" * 8):
+            path = tmp_path / "t.mces"
+            path.write_bytes(raw)
+            with pytest.raises(Truncated):
+                iter_stream(path)
+
+    def test_non_finite_in_second_chunk_located(self, tmp_path, rng):
+        first = self.per_chunk()
+        frames = rng.standard_normal((first + 3, self.N, self.D)).astype(np.float32)
+        frames[first + 1, 5, 7] = np.nan
+        path = str(tmp_path / "nan.mces")
+        write_stream(path, np.zeros_like(frames))
+        with open(path, "r+b") as fh:
+            fh.seek(HEADER_SIZE)
+            fh.write(frames.tobytes())
+        _, _, lazy = iter_stream(path)
+        seen = 0
+        with pytest.raises(NonFiniteValue) as err:
+            for _ in lazy:
+                seen += 1
+        assert seen == first
+        assert err.value.frame_index == first + 1
+        assert err.value.token_index == 5
+        with pytest.raises(NonFiniteValue) as want:
+            read_stream(path)
+        assert str(err.value) == str(want.value)
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        # the files streamio opens for reading, in order
+        handles = []
+
+        def spy(path, mode, *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if mode == "rb":
+                handles.append(fh)
+            return fh
+
+        monkeypatch.setattr(streamio, "open", spy, raising=False)
+        return handles
+
+    def test_closed_after_exhaustion(self, tmp_path, rng, opened):
+        path = self.write(tmp_path, rng, self.per_chunk() + 1)
+        _, _, frames = iter_stream(path)
+        assert len(opened) == 1 and not opened[0].closed
+        for _ in frames:
+            pass
+        assert opened[0].closed
+
+    def test_closed_after_close_part_way(self, tmp_path, rng, opened):
+        path = self.write(tmp_path, rng, self.per_chunk() + 1)
+        _, _, frames = iter_stream(path)
+        next(frames)
+        frames.close()
+        assert opened[0].closed
+
+    def test_closed_when_never_iterated(self, tmp_path, rng, opened):
+        path = self.write(tmp_path, rng, 2)
+        _, _, frames = iter_stream(path)
+        frames.close()
+        assert opened[0].closed
+        _, _, frames = iter_stream(path)
+        del frames
+        gc.collect()
+        assert opened[1].closed
+
+    def test_closed_when_the_head_is_refused(self, tmp_path, rng, opened):
+        path = self.write(tmp_path, rng, 2)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 4)
+        with pytest.raises(Truncated):
+            iter_stream(path)
+        assert opened[0].closed
+
+    def test_run_heap_is_flat_in_stream_length(self, tmp_path, monkeypatch):
+        # a 4 KiB chunk (16 frames of (4, 16)) keeps each stream many chunks
+        # long at lengths tracemalloc can trace in about a second
+        monkeypatch.setattr(streamio, "_CHUNK_BYTES", 4096)
+        cfg = ConsolidationConfig(capacity=8, base_target=4, alpha=0.25)
+        peaks = []
+        for t in (256, 1024):
+            path = str(tmp_path / f"s{t}.mces")
+            q, frames = iter_synthetic(SyntheticSpec(frame_count=t, n_tokens=4, dims=16))
+            write_stream(path, frames, q, frame_count=t)
+            spec = ExperimentSpec(stream_file=path, cfg=cfg, ltm_capacity=16,
+                                  reinit_mode="none", policies=("question_merge",))
+            # an untraced run first fills the interpreter's free lists, and gc
+            # stays off so that no full collection empties them mid-run; the
+            # traced run then counts only what the run itself holds
+            last = []
+            run(spec, _last_pipeline=last)
+            assert len(last[0].long) == 16  # the long-term store is full
+            gc.disable()
+            tracemalloc.start()
+            try:
+                run(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestSyntheticSpec:
