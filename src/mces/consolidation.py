@@ -23,10 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidSpec, InvalidTarget, checked
+from .errors import DimensionMismatch, EmptyInput, InvalidSpec, InvalidTarget, checked
 from .frames import (
     WeightedFrame,
-    cosine,
+    _cosine,
+    _norm,
+    _vector,
     frame_descriptor,
     frame_pair_similarity,
     weighted_merge,
@@ -155,15 +157,23 @@ def relevance_score(frames: Sequence[WeightedFrame], question, basis: str = "mea
     """Aggregate question similarity over a window of frames.
 
     Each frame scores cosine(descriptor, question); the scores aggregate by
-    mean, min, or max.
+    mean, min, or max. Each score is bitwise what :func:`mces.cosine` gives;
+    the question is checked and its norm taken once per call.
     """
     if basis not in RELEVANCE_BASES:
         raise InvalidSpec(f"basis must be one of {RELEVANCE_BASES}, got {basis!r}")
     frames = list(frames)
     if not frames:
         raise EmptyInput("relevance over an empty window")
-    q = np.asarray(question, dtype=np.float64)
-    return float(_AGGREGATES[basis]([cosine(frame_descriptor(f), q) for f in frames]))
+    q = _vector(question)
+    nq = _norm(q)
+    scores = []
+    for f in frames:
+        d = frame_descriptor(f)
+        if d.shape != q.shape:
+            raise DimensionMismatch(f"vector shapes differ: {d.shape} vs {q.shape}")
+        scores.append(_cosine(d, _norm(d), q, nq))
+    return float(_AGGREGATES[basis](scores))
 
 
 def target_count(score: float, cfg: ConsolidationConfig) -> int:

@@ -13,17 +13,28 @@ The invariant ``provenance_mass(p) == weight`` holds for every frame.
 
 Each frame owns its tokens: the public constructor validates them and keeps
 a read-only copy. Token row norms are computed once per frame and cached
-(``WeightedFrame.norms``), so a pair similarity computes only the row dots.
-A merged frame is valid by construction: ``weighted_merge`` builds it
-without the copy and re-validation, computes its row norms at once and
-scans its tokens for non-finite values only when a norm is not finite.
-``as_context`` shares the tokens and norms. Cached and uncached norms come
-from one expression, so similarities and merge traces stay bitwise equal to
-the plain reference loop.
+(``WeightedFrame.norms``), and so is the floor check on them: the index of
+the first row whose norm is below NORM_FLOOR. A pair similarity of two frames
+computes only the row dots, and still raises ZeroNorm on every call that
+meets such a row. A merged frame is valid by construction: ``weighted_merge``
+builds it without the copy and re-validation, computes its row norms at once
+and scans its tokens for non-finite values only when a norm is not finite.
+A pushed frame (``from_tokens``) is validated once by ``as_token_matrix`` and
+takes its unit provenance as known. ``as_context`` shares the tokens and
+norms.
+
+The kernels on the consolidation path call numpy's ufuncs directly
+(``np.add.reduce`` for sums and means, ``x.dot(x)`` under a square root for a
+vector norm, ``np.clip`` in place) instead of the Python wrappers
+``np.sum``, ``ndarray.mean`` and ``np.linalg.norm``. The arithmetic is the
+same, operation for operation: cached and uncached norms come from one
+expression, and similarities, relevance scores and merge traces stay bitwise
+equal to the plain reference loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -76,12 +87,19 @@ def as_token_matrix(x) -> np.ndarray:
 
 def _row_norms(tokens: np.ndarray) -> np.ndarray:
     """Euclidean norm of each token row, reduced along the contiguous axis."""
-    return np.sqrt(np.sum(tokens * tokens, axis=1))
+    return np.sqrt(np.add.reduce(tokens * tokens, axis=1))
 
 
 def _norms_of(frame, tokens: np.ndarray) -> np.ndarray:
     # a WeightedFrame's cached row norms, or those of a bare matrix
     return frame.norms if isinstance(frame, WeightedFrame) else _row_norms(tokens)
+
+
+def _first_below_floor(norms: np.ndarray) -> int:
+    # index of the first norm below NORM_FLOOR, or -1
+    bad = norms < NORM_FLOOR
+    j = int(bad.argmax())
+    return j if bad[j] else -1
 
 
 def unit_interval(index: int) -> tuple[Interval, ...]:
@@ -114,21 +132,22 @@ def merge_provenance(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Inte
     The result is sorted, non-overlapping, and coalesced (adjacent pieces with
     equal count become one interval).
     """
-    ivals = list(a) + list(b)
-    if not ivals:
-        return ()
-    points = sorted({p for start, stop, _ in ivals for p in (start, stop)})
+    # each record's boundaries, as (point, count change), are already in
+    # order, so the sort only merges the two runs: one sweep in linear time
+    edges = sorted([(p, d) for s, e, c in a for p, d in ((s, c), (e, -c))]
+                   + [(p, d) for s, e, c in b for p, d in ((s, c), (e, -c))])
     out: list[list[int]] = []
-    for lo, hi in zip(points, points[1:]):
-        # no interval boundary lies strictly inside (lo, hi), so coverage is
-        # constant across the piece
-        count = sum(c for s, e, c in ivals if s <= lo and hi <= e)
-        if count == 0:
-            continue
-        if out and out[-1][1] == lo and out[-1][2] == count:
-            out[-1][1] = hi
-        else:
-            out.append([lo, hi, count])
+    lo, count = None, 0
+    for point, change in edges:
+        if point != lo:
+            # coverage is constant on [lo, point): no boundary lies inside
+            if count:
+                if out and out[-1][1] == lo and out[-1][2] == count:
+                    out[-1][1] = point
+                else:
+                    out.append([lo, point, count])
+            lo = point
+        count += change
     return tuple((s, e, c) for s, e, c in out)
 
 
@@ -161,20 +180,20 @@ class WeightedFrame:
 
     @classmethod
     def _trusted(cls, tokens: np.ndarray, weight: int, provenance: tuple[Interval, ...],
-                 context_flag: bool, norms: np.ndarray) -> "WeightedFrame":
+                 context_flag: bool, **cached) -> "WeightedFrame":
         # a frame valid by construction, without __post_init__'s copy and
         # checks: tokens read-only finite float64 C-contiguous, provenance
-        # valid with mass == weight, norms the cached row norms of tokens
+        # valid with mass == weight, cached (norms, _bad_row) those of tokens
         frame = object.__new__(cls)
         frame.__dict__.update(tokens=tokens, weight=weight, provenance=provenance,
-                              context_flag=context_flag, norms=norms)
+                              context_flag=context_flag, **cached)
         return frame
 
     @classmethod
     def from_tokens(cls, tokens, source_index: int, context_flag: bool = False) -> "WeightedFrame":
         """Wrap a raw stream frame: weight 1, unit provenance."""
-        return cls(tokens=tokens, weight=1, provenance=unit_interval(source_index),
-                   context_flag=context_flag)
+        provenance = unit_interval(int(source_index))
+        return cls._trusted(as_token_matrix(tokens), 1, provenance, context_flag)
 
     @property
     def n_tokens(self) -> int:
@@ -191,12 +210,17 @@ class WeightedFrame:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def _bad_row(self) -> int:
+        # the floor check on the cached norms, made once per frame
+        return _first_below_floor(self.norms)
+
     def as_context(self) -> "WeightedFrame":
         """This frame marked as injected context; tokens and norms are shared."""
         if self.context_flag:
             return self
         return WeightedFrame._trusted(self.tokens, self.weight, self.provenance, True,
-                                      self.norms)
+                                      norms=self.norms, _bad_row=self._bad_row)
 
 
 def _vector(u) -> np.ndarray:
@@ -216,11 +240,20 @@ def cosine(u, v) -> float:
     a, b = _vector(u), _vector(v)
     if a.shape != b.shape:
         raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return _cosine(a, _norm(a), b, _norm(b))
+
+
+def _norm(a: np.ndarray) -> float:
+    # bitwise np.linalg.norm(a) for a 1-D float64 vector, without its wrapper
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    # cosine of two checked vectors of equal shape, given their norms
     if na < NORM_FLOOR or nb < NORM_FLOOR:
         raise ZeroNorm(f"cosine undefined for near-zero vector (norms {na:.3e}, {nb:.3e})")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return min(max(float(a.dot(b) / (na * nb)), -1.0), 1.0)
 
 
 def _tokens_of(frame) -> np.ndarray:
@@ -238,8 +271,9 @@ def frame_descriptor(frame) -> np.ndarray:
     tokens = _tokens_of(frame)
     if tokens.ndim != 2:
         raise DimensionMismatch(f"expected an (N, D) matrix, got shape {tokens.shape}")
-    mean = tokens.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
+    # bitwise tokens.mean(axis=0)
+    mean = np.add.reduce(tokens, axis=0) / tokens.shape[0]
+    norm = _norm(mean)
     if norm < NORM_FLOOR:
         raise ZeroNorm(f"frame descriptor degenerate, token mean norm {norm:.3e}")
     return mean / norm
@@ -252,20 +286,28 @@ def frame_pair_similarity(a, b) -> float:
     cosines are averaged in float64. Both frames must share (N, D). A
     near-zero token row raises ZeroNorm carrying the offending row index.
     """
-    ta, tb = _tokens_of(a), _tokens_of(b)
-    if ta.shape != tb.shape:
-        raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
-    if ta.ndim != 2:
-        raise DimensionMismatch(f"expected (N, D) matrices, got shape {ta.shape}")
-    na, nb = _norms_of(a, ta), _norms_of(b, tb)
-    for norms, which in ((na, "first"), (nb, "second")):
-        bad = norms < NORM_FLOOR
-        if bad.any():
-            j = int(np.argmax(bad))
+    if type(a) is WeightedFrame and type(b) is WeightedFrame:
+        ta, tb = a.tokens, b.tokens
+        if ta.shape != tb.shape:
+            raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
+        bad = ((a._bad_row, "first"), (b._bad_row, "second"))
+        na, nb = a.norms, b.norms
+    else:
+        ta, tb = _tokens_of(a), _tokens_of(b)
+        if ta.shape != tb.shape:
+            raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
+        if ta.ndim != 2:
+            raise DimensionMismatch(f"expected (N, D) matrices, got shape {ta.shape}")
+        na, nb = _norms_of(a, ta), _norms_of(b, tb)
+        bad = [(_first_below_floor(na), "first"), (_first_below_floor(nb), "second")]
+    for j, which in bad:
+        if j >= 0:
             raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
-    dots = np.sum(ta * tb, axis=1)
-    cos = np.clip(dots / (na * nb), -1.0, 1.0)
-    return float(cos.mean())
+    # the ufuncs behind np.sum, np.clip and ndarray.mean, called directly
+    cos = np.add.reduce(np.multiply(ta, tb), axis=1)
+    np.divide(cos, np.multiply(na, nb), out=cos)
+    np.clip(cos, -1.0, 1.0, out=cos)
+    return float(np.add.reduce(cos) / cos.shape[0])
 
 
 def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
@@ -306,4 +348,4 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     norms.setflags(write=False)
     return WeightedFrame._trusted(
         tokens, total, merge_provenance(a.provenance, b.provenance),
-        a.context_flag and b.context_flag, norms)
+        a.context_flag and b.context_flag, norms=norms)

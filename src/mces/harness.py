@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import POLICY_IDS, ema, no_memory, spatial_pool, temporal_pool, token_budget
-from .consolidation import ConsolidationConfig
+from .consolidation import ConsolidationConfig, relevance_score
 from .errors import (
     GateFailure,
     GridTooLarge,
@@ -32,7 +32,7 @@ from .errors import (
     MissingQuestion,
     checked,
 )
-from .frames import WeightedFrame, cosine, frame_descriptor
+from .frames import WeightedFrame
 from .pipeline import REINIT_MODES, Pipeline
 from .streamio import SyntheticSpec, generate_synthetic, iter_stream, iter_synthetic
 # unused here; kept only so bench/spans.py can wrap harness.read_stream
@@ -206,8 +206,7 @@ def compute_relevance_metrics(frames: Sequence[WeightedFrame],
     planted_total = sum(e - s for s, e in spans)
     affinity = None
     if question is not None and frames:
-        q = np.asarray(question, dtype=np.float64)
-        affinity = float(np.mean([cosine(frame_descriptor(f), q) for f in frames]))
+        affinity = relevance_score(frames, question)
     if not spans or planted_total == 0 or not frames:
         return RelevanceMetrics(0.0, 0.0, affinity, applicable=False)
     fractions = []

@@ -258,12 +258,14 @@ def iter_stream(path):
     """Read the stream file at ``path`` one chunk of frames at a time.
 
     Returns ``(header, question, frames)`` where frames is a lazy iterator
-    of (N, D) float32 views of chunks of about 1 MiB, so what a reader
-    holds does not grow with the stream's length. The header, the question
-    and the file's length are checked before this returns (a short payload
-    raises Truncated as :func:`read_stream` does); each chunk is checked
-    finite as it is read. The file closes when the iterator is exhausted,
-    closed or collected.
+    of (N, D) float32 frames from chunks of about 1 MiB: views, except the
+    last frame of each chunk, which is a copy so that a reader still holding
+    it does not keep its chunk alive while the next chunk is read. What a
+    reader holds does not grow with the stream's length. The header, the
+    question and the file's length are checked before this returns (a short
+    payload raises Truncated as :func:`read_stream` does); each chunk is
+    checked finite as it is read. The file closes when the iterator is
+    exhausted, closed or collected.
     """
     fh, _ = _open(path)
     try:
@@ -287,10 +289,15 @@ def _chunks(fh, header: StreamHeader) -> Iterator[np.ndarray]:
         yield None
         for first in range(0, header.frame_count, per_chunk):
             count = min(per_chunk, header.frame_count - first)
-            # unbound, so a chunk is freed once its last frame is dropped
-            yield from _payload(
+            chunk = _payload(
                 _read_exact(fh, count * header.frame_bytes(), "frame payload"),
                 header, first)
+            yield from chunk[:-1]
+            # the last frame goes out as a copy, so the chunk is freed once
+            # the consumer moves on to it, before the next chunk is read
+            last = chunk[-1].copy()
+            del chunk
+            yield last
 
 
 @dataclass(frozen=True)

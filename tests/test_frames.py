@@ -123,6 +123,58 @@ class TestProvenance:
             assert not (e0 == s1 and c0 == c1)
 
 
+def quadratic_merge_provenance(a, b):
+    """merge_provenance as it was before the linear sweep: every piece
+    between consecutive boundaries sums the count of every interval."""
+    ivals = list(a) + list(b)
+    if not ivals:
+        return ()
+    points = sorted({p for start, stop, _ in ivals for p in (start, stop)})
+    out = []
+    for lo, hi in zip(points, points[1:]):
+        count = sum(c for s, e, c in ivals if s <= lo and hi <= e)
+        if count == 0:
+            continue
+        if out and out[-1][1] == lo and out[-1][2] == count:
+            out[-1][1] = hi
+        else:
+            out.append([lo, hi, count])
+    return tuple((s, e, c) for s, e, c in out)
+
+
+# a valid provenance record: sorted, non-overlapping, possibly touching and
+# not coalesced, as (gap before, span, count) steps
+records = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(1, 3)), max_size=40,
+).map(lambda steps: tuple(
+    (lo, lo + span, count) for lo, span, count in _laid_out(steps)))
+
+
+def _laid_out(steps):
+    cursor = 0
+    for gap, span, count in steps:
+        yield cursor + gap, span, count
+        cursor += gap + span
+
+
+class TestMergeProvenanceSweep:
+    @given(records, records)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_quadratic_version(self, a, b):
+        got = merge_provenance(a, b)
+        assert got == quadratic_merge_provenance(a, b)
+        assert all(type(v) is int for iv in got for v in iv)
+        assert provenance_mass(got) == provenance_mass(a) + provenance_mass(b)
+
+    def test_long_interleaved_records(self):
+        # the sizes long-term entries reach on long streams (hundreds of
+        # intervals each), where the quadratic version took tens of ms
+        a = tuple((3 * i, 3 * i + 2, 1) for i in range(379))
+        b = tuple((3 * i + 1, 3 * i + 3, 2) for i in range(379))
+        assert merge_provenance(a, b) == quadratic_merge_provenance(a, b)
+        assert merge_provenance(b, a) == merge_provenance(a, b)
+
+
 class TestWeightedFrame:
     def test_from_tokens(self):
         f = WeightedFrame.from_tokens(np.ones((2, 3)), 7)

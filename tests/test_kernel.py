@@ -3,6 +3,8 @@
 The acceptance sweep (c1) draws D <= 8, where numpy's pairwise summation
 never engages; these cases cover the widths the engine runs at, with unit
 and larger input weights, for fill merging and long-term compaction alike.
+The similarity and relevance kernels are held bitwise to the plain numpy
+expressions they replace, written out here.
 """
 
 from __future__ import annotations
@@ -12,11 +14,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mces import LongTermMemory, WeightedFrame, greedy_merge
+from mces import (
+    LongTermMemory,
+    ShortTermBuffer,
+    WeightedFrame,
+    ZeroNorm,
+    cosine,
+    frame_descriptor,
+    frame_pair_similarity,
+    greedy_merge,
+    relevance_score,
+    unit_interval,
+    weighted_merge,
+)
+from mces.consolidation import RELEVANCE_BASES
 
 import oracles
 
 SHAPES = [(32, 256), (128, 768), (16, 128)]
+# plus a token count that is not a power of two, where dividing a sum by N
+# and multiplying it by 1 / N can round differently
+MEAN_SHAPES = SHAPES + [(24, 200)]
 
 
 def weighted_frames(seed, count, shape, max_weight):
@@ -78,3 +96,107 @@ def test_greedy_merge_peak_stays_within_eight_frames():
         tracemalloc.stop()
     assert len(out) == 4
     assert peak <= 8 * size
+
+
+def plain_relevance(frames, question, basis):
+    """cosine(frame_descriptor(f), q) aggregated, through numpy's wrappers."""
+    q = np.asarray(question, dtype=np.float64)
+    scores = []
+    for f in frames:
+        mean = f.tokens.mean(axis=0)
+        d = mean / float(np.linalg.norm(mean))
+        na, nq = float(np.linalg.norm(d)), float(np.linalg.norm(q))
+        scores.append(float(np.clip(np.dot(d, q) / (na * nq), -1.0, 1.0)))
+    return float({"mean": np.mean, "min": np.min, "max": np.max}[basis](scores))
+
+
+def question_frames(seed, shape):
+    """A question and weighted frames leaning toward it by varying amounts."""
+    r = np.random.default_rng(seed)
+    q = r.standard_normal(shape[1])
+    frames = weighted_frames(seed, 16, shape, 5)
+    leaning = [WeightedFrame(f.tokens + lean * q, weight=f.weight, provenance=f.provenance)
+               for f, lean in zip(frames, np.linspace(-0.5, 0.5, len(frames)))]
+    return q, leaning
+
+
+@pytest.mark.parametrize("basis", RELEVANCE_BASES)
+@pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_relevance_score_is_bitwise_the_plain_expression(shape, basis):
+    q, frames = question_frames(3, shape)
+    want = plain_relevance(frames, q, basis)
+    assert relevance_score(frames, q, basis) == want
+    assert relevance_score(frames, list(q), basis) == want
+    for f in frames:
+        assert cosine(frame_descriptor(f), q) == plain_relevance([f], q, "mean")
+        assert np.array_equal(frame_descriptor(f.tokens), frame_descriptor(f))
+
+
+@pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_pair_similarity_is_bitwise_the_oracle_on_frames_and_arrays(shape):
+    frames = weighted_frames(5, 8, shape, 5)
+    frames += [weighted_merge(frames[0], frames[1]), frames[2].as_context()]
+    for a, b in zip(frames, frames[1:]):
+        want = oracles.pairwise_mean_cosine(a.tokens, b.tokens)
+        assert frame_pair_similarity(a, b) == want
+        assert frame_pair_similarity(a.tokens, b.tokens) == want
+        assert frame_pair_similarity(a, b.tokens) == want
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["pushed", "merged"])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_zero_norm_row_is_refused_on_every_call(shape, merged):
+    # the floor check is cached per frame, the refusal is not
+    r = np.random.default_rng(11)
+    row = shape[0] // 2
+    tokens = r.standard_normal(shape)
+    if merged:
+        # a merge in which one row cancels exactly: its norms and floor
+        # check come from weighted_merge, not from a pushed frame
+        opposite = tokens.copy()
+        opposite[row] *= -1.0
+        bad = weighted_merge(WeightedFrame.from_tokens(tokens, 0),
+                             WeightedFrame.from_tokens(opposite, 1))
+        assert not bad.tokens[row].any()
+    else:
+        tokens[row] = 0.0
+        bad = WeightedFrame.from_tokens(tokens, 0)
+    good = WeightedFrame.from_tokens(r.standard_normal(shape), 2)
+    for first, second, which in ((bad, good, "first"), (good, bad, "second"),
+                                 (bad, bad, "first")):
+        for _ in range(3):
+            with pytest.raises(ZeroNorm) as err:
+                frame_pair_similarity(first, second)
+            assert err.value.token_index == row
+            assert str(err.value) == f"token {row} of {which} frame has near-zero norm"
+        with pytest.raises(ZeroNorm) as bare:
+            frame_pair_similarity(first.tokens, second.tokens)
+        assert str(bare.value) == str(err.value)
+    assert frame_pair_similarity(good, good.as_context()) == \
+        oracles.pairwise_mean_cosine(good.tokens, good.tokens)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_pushed_frame_equals_the_public_constructor(shape):
+    r = np.random.default_rng(13)
+    buffer = ShortTermBuffer(8, *shape)
+    raw = [r.standard_normal(shape).astype(np.float32) for _ in range(5)]
+    for x in raw:
+        buffer.push(x)
+    pushed = [*buffer.frames,
+              WeightedFrame.from_tokens(raw[0], np.int64(7), context_flag=True)]
+    wants = [WeightedFrame(x, 1, unit_interval(i)) for i, x in enumerate(raw)]
+    wants.append(WeightedFrame(raw[0], 1, unit_interval(7), context_flag=True))
+    assert len(pushed) == len(wants)
+    for got, want in zip(pushed, wants):
+        assert np.array_equal(got.tokens, want.tokens)
+        assert got.tokens.dtype == np.float64 and got.tokens.flags.c_contiguous
+        assert not got.tokens.flags.writeable
+        assert (got.weight, got.provenance, got.context_flag) == \
+            (want.weight, want.provenance, want.context_flag)
+        assert all(type(v) is int for v in got.provenance[0])
+        assert np.array_equal(got.norms, want.norms)
+    with pytest.raises(ValueError):
+        WeightedFrame.from_tokens(raw[0], -1)
+    with pytest.raises(ValueError):
+        WeightedFrame.from_tokens(np.full(shape, np.nan), 0)

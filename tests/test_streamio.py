@@ -364,6 +364,28 @@ class TestIterStream:
             iter_stream(path)
         assert opened[0].closed
 
+    def test_one_chunk_held_at_a_time(self, tmp_path, rng, monkeypatch):
+        # the loop variable still holds the previous chunk's last frame while
+        # the next chunk is read; that frame must not keep its chunk alive
+        monkeypatch.setattr(streamio, "_CHUNK_BYTES", 4 * self.N * self.D * 4)
+        chunk = streamio._CHUNK_BYTES
+        peaks = []
+        for chunks in (1, 4):
+            path = self.write(tmp_path, rng, chunks * self.per_chunk())
+            gc.collect()
+            tracemalloc.start()
+            try:
+                _, _, frames = iter_stream(path)
+                seen = 0
+                for frame in frames:
+                    seen += 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert seen == chunks * self.per_chunk()
+            del frame
+        assert peaks[1] <= peaks[0] + chunk / 2, peaks
+
     def test_run_heap_is_flat_in_stream_length(self, tmp_path, monkeypatch):
         # a 4 KiB chunk (16 frames of (4, 16)) keeps each stream many chunks
         # long at lengths tracemalloc can trace in about a second
