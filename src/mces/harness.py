@@ -8,6 +8,7 @@ runs of the same spec can be compared byte for byte.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import itertools
@@ -272,7 +273,7 @@ def _stream_for(spec: ExperimentSpec, seed: int):
     """(frames, question, segments) for one row seed.
 
     A synthetic stream is generated once into an array, which every row of
-    the seed reuses; a file stream is read again by each row.
+    the seed reuses; a file stream is read again by each policy run.
     """
     if spec.synthetic is not None:
         sspec = replace(spec.synthetic, seed=seed)
@@ -346,12 +347,15 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int,
 def run(spec: ExperimentSpec, *, _last_pipeline: list | None = None) -> dict:
     """One row per (seed, grid point, policy); returns the report dict.
 
-    ``_last_pipeline``, when given, is left holding the one Pipeline behind
-    the last row (None for a baseline row), for ``mces run --snapshot``.
+    A file stream is the same for every seed, which only labels its rows,
+    so each (grid point, policy) runs once on it and its row is repeated
+    for every seed. ``_last_pipeline``, when given, is left holding the one
+    Pipeline behind the last row (None for a baseline row), for
+    ``mces run --snapshot``.
     """
     points = _grid(spec)
     rows = []
-    for seed in spec.seeds:
+    for seed in spec.seeds if spec.synthetic is not None else spec.seeds[:1]:
         frames, question, segments = _stream_for(spec, seed)
         for point in points:
             for policy in spec.policies:
@@ -360,6 +364,8 @@ def run(spec: ExperimentSpec, *, _last_pipeline: list | None = None) -> dict:
                 rows.append(row)
                 if _last_pipeline is not None:
                     _last_pipeline[:] = [pipe]
+    if spec.synthetic is None:
+        rows = [{**copy.deepcopy(row), "seed": seed} for seed in spec.seeds for row in rows]
     return build_report(spec, rows)
 
 

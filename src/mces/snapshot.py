@@ -7,12 +7,16 @@ per-entry metadata, and the question vector at full precision. Token values
 round-trip at the container's 32-bit storage precision.
 
 Export is deterministic: identical state produces byte-identical files.
+Both directions stream the sidecar: export writes it one frame at a time,
+and import reads it one chunk at a time, rebuilding each entry as its frame
+arrives, so neither holds more of it than one chunk.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 
 import numpy as np
 
@@ -20,7 +24,9 @@ from .consolidation import ConsolidationConfig
 from .errors import InvalidSpec, IoFailure, ShapeMismatch
 from .frames import WeightedFrame
 from .pipeline import COUNTERS, Pipeline
-from .streamio import read_stream, write_stream
+from .streamio import iter_stream, write_stream
+# unused here; kept only so bench/spans.py can wrap snapshot.read_stream
+from .streamio import read_stream  # noqa: F401
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -108,17 +114,20 @@ def read_json(path: str, what: str = "a JSON object") -> dict:
 
 
 def _sidecar_frames(doc: dict, json_path: str, expected: int):
+    # the sidecar's frames as a lazy iterator, which the caller closes; its
+    # header, length and frame count are checked before this returns
     name = _field(doc, "sidecar", (str, type(None)))
     if name is None:
         if expected:
             raise InvalidSpec("snapshot lists frames but names no sidecar")
-        return []
+        return (f for f in ())  # closable, like iter_stream's iterator
     path = os.path.join(os.path.dirname(os.path.abspath(json_path)), name)
-    header, frames, _ = read_stream(path)
+    header, _, frames = iter_stream(path)
     if header.frame_count != expected:
+        frames.close()
         raise ShapeMismatch(
             f"sidecar holds {header.frame_count} frames, snapshot lists {expected}")
-    return [frames[i] for i in range(expected)]
+    return frames
 
 
 def _field(doc: dict, key: str, kind, where: str = "snapshot"):
@@ -145,7 +154,8 @@ def _rebuild_frame(tokens, meta) -> WeightedFrame:
 def import_pipeline(json_path: str) -> Pipeline:
     """Rebuild a pipeline from :func:`export_pipeline` output.
 
-    The sidecar is looked up next to the JSON file by its recorded name. A
+    The sidecar is looked up next to the JSON file by its recorded name and
+    read one chunk at a time; it is closed on return and on every error. A
     document that is not a pipeline snapshot, or that lacks or mistypes a
     key, raises InvalidSpec naming the key.
     """
@@ -168,12 +178,14 @@ def import_pipeline(json_path: str) -> Pipeline:
     long_meta = _field(long, "entries", list, "snapshot long")
     short_meta = _field(short, "frames", list, "snapshot short")
     matrices = _sidecar_frames(doc, json_path, len(long_meta) + len(short_meta))
-    entries = [_rebuild_frame(matrices[i], meta) for i, meta in enumerate(long_meta)]
-    pipe.long._restore(
-        entries, [_field(meta, "position_id", int, "long-term entry") for meta in long_meta],
-        _field(long, "next_position_id", int, "snapshot long"))
-    pipe.short._restore([_rebuild_frame(matrices[len(long_meta) + i], meta)
-                         for i, meta in enumerate(short_meta)])
+    with closing(matrices):
+        # meta first in each zip, so that no frame is read past the last entry
+        entries = [_rebuild_frame(tokens, meta) for meta, tokens in zip(long_meta, matrices)]
+        pipe.long._restore(
+            entries, [_field(meta, "position_id", int, "long-term entry") for meta in long_meta],
+            _field(long, "next_position_id", int, "snapshot long"))
+        pipe.short._restore([_rebuild_frame(tokens, meta)
+                             for meta, tokens in zip(short_meta, matrices)])
     pipe.short._next_source_index = _field(short, "next_source_index", int, "snapshot short")
     counters = _field(doc, "counters", dict)
     unknown = sorted(set(counters) - set(COUNTERS))

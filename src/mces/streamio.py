@@ -251,21 +251,22 @@ def read_stream(source):
 
 
 # bytes read per chunk by iter_stream
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 def iter_stream(path):
     """Read the stream file at ``path`` one chunk of frames at a time.
 
     Returns ``(header, question, frames)`` where frames is a lazy iterator
-    of (N, D) float32 frames from chunks of about 1 MiB: views, except the
-    last frame of each chunk, which is a copy so that a reader still holding
-    it does not keep its chunk alive while the next chunk is read. What a
-    reader holds does not grow with the stream's length. The header, the
-    question and the file's length are checked before this returns (a short
-    payload raises Truncated as :func:`read_stream` does); each chunk is
-    checked finite as it is read. The file closes when the iterator is
-    exhausted, closed or collected.
+    of (N, D) float32 frames from chunks of 256 KiB (one frame at least):
+    views, except the last frame of each chunk, which is a copy so that a
+    reader still holding it does not keep its chunk alive while the next
+    chunk is read. What a reader holds does not grow with the stream's
+    length; a snapshot's sidecar is read the same way on resume. The
+    header, the question and the file's length are checked before this
+    returns (a short payload raises Truncated as :func:`read_stream` does);
+    each chunk is checked finite as it is read. The file closes when the
+    iterator is exhausted, closed or collected.
     """
     fh, _ = _open(path)
     try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mces import WeightedFrame
+from mces import streamio
 
 
 def make_frames(rng, count, n_tokens, dims, start=0):
@@ -31,3 +32,18 @@ def directional_frames(direction, count, n_tokens, start=0, jitter=None, rng=Non
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260821)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The files streamio opens for reading, in order."""
+    handles = []
+
+    def spy(path, mode, *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if mode == "rb":
+            handles.append(fh)
+        return fh
+
+    monkeypatch.setattr(streamio, "open", spy, raising=False)
+    return handles

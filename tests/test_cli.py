@@ -145,6 +145,27 @@ class TestRun:
         assert [e.provenance for e in resumed.long.entries] == \
                [e.provenance for e in direct.long.entries]
 
+    def test_file_stream_runs_once_for_all_seeds(self, tmp_path, monkeypatch):
+        # seeds only label the rows of a file stream, so its frames go
+        # through the pipeline once, and each seed gets the same row
+        stream = gen(tmp_path)
+        steps = []
+        step = Pipeline.step
+
+        def counted(pipe, frame):
+            steps.append(1)
+            return step(pipe, frame)
+
+        monkeypatch.setattr(Pipeline, "step", counted)
+        assert main(run_args(tmp_path, stream, "--seeds", "0,1,2")) == 0
+        assert len(steps) == 40
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert [r["seed"] for r in rows] == [0, 1, 2]
+        for row in rows:
+            assert row["counters"]["frames_pushed"] == 40
+            assert {k: v for k, v in row.items() if k not in ("seed", "wall_time_s")} == \
+                   {k: v for k, v in rows[0].items() if k not in ("seed", "wall_time_s")}
+
     def test_policies_flag(self, tmp_path):
         stream = gen(tmp_path)
         rc = main(run_args(tmp_path, stream, "--policies", "ema,no_memory"))

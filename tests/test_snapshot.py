@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import operator
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +15,16 @@ from mces import (
     ConsolidationConfig,
     InvalidSpec,
     IoFailure,
+    NonFiniteValue,
     Pipeline,
     ShapeMismatch,
+    Truncated,
     export_pipeline,
     import_pipeline,
+    read_stream,
     write_stream,
 )
-from mces import snapshot
+from mces import snapshot, streamio
 
 Q = np.array([0.6, 0.8, 0.0, 0.0])
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -253,6 +259,93 @@ class TestImport:
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(InvalidSpec):
             import_pipeline(str(tmp_path / "bad.json"))
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+class TestStreamedSidecar:
+    """Import reads the sidecar one chunk at a time and always closes it."""
+
+    # (N, D) frames of 32 KiB, eight to a chunk: the 3 MiB sidecar spans
+    # many chunks, so a reader that loads it whole breaks the heap bound
+    N, D = 16, 512
+
+    @pytest.fixture
+    def snap(self, tmp_path, rng):
+        pipe = Pipeline(self.N, self.D, ConsolidationConfig(capacity=8, base_target=4),
+                        ltm_capacity=96, reinit_mode="none")
+        for _ in range(192):
+            pipe.step(rng.standard_normal((self.N, self.D)))
+        jp, sp = export_pipeline(pipe, str(tmp_path / "s.json"))
+        assert len(pipe.short) > 0
+        assert os.path.getsize(sp) > 3 << 20
+        return jp, sp
+
+    def test_heap_holds_one_chunk_beyond_the_store(self, snap):
+        jp, _ = snap
+        # an untraced import first fills the interpreter's free lists, and gc
+        # stays off so that no full collection empties them mid-import
+        import_pipeline(jp)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            back = import_pipeline(jp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        store = sum(f.tokens.nbytes for f in list(back.long.entries) + list(back.short.frames))
+        assert peak - store < 2 * streamio._CHUNK_BYTES, (peak, store)
+
+    def test_closed_after_success(self, snap, opened):
+        back = import_pipeline(snap[0])
+        assert len(opened) == 1 and opened[0].closed
+        assert len(back.long) + len(back.short) == read_stream(snap[1])[0].frame_count
+
+    def poison(self, sidecar, frame, token):
+        # a NaN at (frame, token) of the sidecar, which holds no question
+        with open(sidecar, "r+b") as fh:
+            fh.seek(streamio.HEADER_SIZE + ((frame * self.N + token) * self.D + 3) * 4)
+            fh.write(np.float32(np.nan).tobytes())
+
+    def test_frame_count_mismatch_closes(self, snap, opened):
+        jp, sp = snap
+        write_stream(sp, np.zeros((1, self.N, self.D), dtype=np.float32))
+        with pytest.raises(ShapeMismatch):
+            import_pipeline(jp)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_truncated_sidecar_closes(self, snap, opened):
+        jp, sp = snap
+        with open(sp, "r+b") as fh:
+            fh.truncate(os.path.getsize(sp) - 40)
+        with pytest.raises(Truncated) as got:
+            import_pipeline(jp)
+        assert len(opened) == 1 and opened[0].closed
+        with pytest.raises(Truncated) as want:
+            read_stream(sp)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_sidecar_located_and_closes(self, snap, opened):
+        jp, sp = snap
+        self.poison(sp, 50, 5)
+        with pytest.raises(NonFiniteValue) as got:
+            import_pipeline(jp)
+        assert (got.value.frame_index, got.value.token_index) == (50, 5)
+        assert len(opened) == 1 and opened[0].closed
+        with pytest.raises(NonFiniteValue) as want:
+            read_stream(sp)
+        assert str(got.value) == str(want.value)
+
+    def test_bad_entry_raised_before_a_later_chunk_is_read(self, snap, opened):
+        jp, sp = snap
+        self.poison(sp, 50, 5)
+        doc = json.loads(Path(jp).read_text())
+        doc["long"]["entries"][0]["weight"] = "x"
+        Path(jp).write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpec, match="weight"):
+            import_pipeline(jp)
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestFormatOneFixture:

@@ -317,20 +317,6 @@ class TestIterStream:
             read_stream(path)
         assert str(err.value) == str(want.value)
 
-    @pytest.fixture
-    def opened(self, monkeypatch):
-        # the files streamio opens for reading, in order
-        handles = []
-
-        def spy(path, mode, *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            if mode == "rb":
-                handles.append(fh)
-            return fh
-
-        monkeypatch.setattr(streamio, "open", spy, raising=False)
-        return handles
-
     def test_closed_after_exhaustion(self, tmp_path, rng, opened):
         path = self.write(tmp_path, rng, self.per_chunk() + 1)
         _, _, frames = iter_stream(path)
