@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -28,6 +27,7 @@ from .harness import (
     PARAMS,
     VALUE_ALIASES,
     ExperimentSpec,
+    _row_count,
     apply_params,
     bench_mem,
     check_gate,
@@ -51,7 +51,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m0", type=int, help="slot budget for a relevant fill")
     p.add_argument("--alpha", type=float, help="budget scale for irrelevant fills")
     p.add_argument("--sigma", type=float, help="relevance threshold")
-    p.add_argument("--basis", choices=("mean", "min", "max"))
     p.add_argument("--reinit", choices=(*VALUE_ALIASES["reinit"], "none"))
     p.add_argument("--ltm-cap", type=int, help="long-term capacity")
     p.add_argument("--seeds", help="comma-separated seed list")
@@ -183,8 +182,7 @@ def _cmd_run(args) -> int:
     if args.command == "compare" and len(spec.policies) < 2:
         raise ConfigError("compare needs at least two --policies")
     snapshot = getattr(args, "snapshot", False)
-    rows = len(spec.seeds) * len(spec.policies) * math.prod(len(v) for _, v in spec.sweep)
-    if snapshot and (rows != 1 or spec.policies[0] in BASELINES):
+    if snapshot and (_row_count(spec) != 1 or spec.policies[0] in BASELINES):
         raise ConfigError("--snapshot needs a run of one row with a pipeline policy")
     last = []
     _emit(run(spec, _last_pipeline=last), args)

@@ -35,7 +35,6 @@ from .frames import (
 )
 
 __all__ = [
-    "RELEVANCE_BASES",
     "ConsolidationConfig",
     "ConsolidationReport",
     "relevance_score",
@@ -43,11 +42,10 @@ __all__ = [
     "greedy_merge",
 ]
 
-_AGGREGATES = {"mean": np.mean, "min": np.min, "max": np.max}
-RELEVANCE_BASES = tuple(_AGGREGATES)
 # retired config keys, each with the one value a config or snapshot may carry
-_RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False}
-_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
+_RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False,
+            "basis": "mean", "question_required": False}
+_KINDS = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,6 @@ class ConsolidationConfig:
     base_target: int = 4
     alpha: float = 0.25
     sigma: float = 0.25
-    basis: str = "mean"
-    question_required: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -82,8 +78,6 @@ class ConsolidationConfig:
             raise InvalidSpec(f"alpha must be in (0, 1], got {self.alpha}")
         if not -1.0 <= self.sigma <= 1.0:
             raise InvalidSpec(f"sigma must be in [-1, 1], got {self.sigma}")
-        if self.basis not in RELEVANCE_BASES:
-            raise InvalidSpec(f"basis must be one of {RELEVANCE_BASES}, got {self.basis!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConsolidationConfig":
@@ -91,7 +85,8 @@ class ConsolidationConfig:
 
         Unknown keys raise InvalidSpec. Files written before the window
         knobs were retired may carry window_size and windows_per_fill; they
-        are accepted only when their product equals capacity, then dropped.
+        must be ints, and are accepted only when their product equals
+        capacity, then dropped.
         The retired relevance keys are accepted only at their one value.
         """
         doc = dict(doc)
@@ -104,17 +99,16 @@ class ConsolidationConfig:
             if type(value) is not type(only) or value != only:
                 raise InvalidSpec(
                     f"retired config key {key!r} must be {only!r}, got {value!r}")
-        try:
-            if "window_size" in doc or "windows_per_fill" in doc:
-                capacity = doc.get("capacity", cls.capacity)
-                product = doc.pop("window_size", capacity) * doc.pop("windows_per_fill", 1)
-                if product != capacity:
-                    raise InvalidSpec(
-                        f"legacy window_size * windows_per_fill = {product} "
-                        f"!= capacity {capacity}")
-            return cls(**doc)
-        except TypeError as exc:
-            raise InvalidSpec(f"bad config value: {exc}") from exc
+        legacy = {key: checked(key, int, doc.pop(key))
+                  for key in ("window_size", "windows_per_fill") if key in doc}
+        if legacy:
+            capacity = checked("capacity", int, doc.get("capacity", cls.capacity))
+            product = legacy.get("window_size", capacity) * legacy.get("windows_per_fill", 1)
+            if product != capacity:
+                raise InvalidSpec(
+                    f"legacy window_size * windows_per_fill = {product} "
+                    f"!= capacity {capacity}")
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         """Snapshot form. It still writes the retired keys (one window per
@@ -153,15 +147,13 @@ class ConsolidationReport:
         }
 
 
-def relevance_score(frames: Sequence[WeightedFrame], question, basis: str = "mean") -> float:
-    """Aggregate question similarity over a window of frames.
+def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
+    """Mean question similarity over a window of frames.
 
-    Each frame scores cosine(descriptor, question); the scores aggregate by
-    mean, min, or max. Each score is bitwise what :func:`mces.cosine` gives;
-    the question is checked and its norm taken once per call.
+    Each frame scores cosine(descriptor, question), bitwise what
+    :func:`mces.cosine` gives; the question is checked and its norm taken
+    once per call.
     """
-    if basis not in RELEVANCE_BASES:
-        raise InvalidSpec(f"basis must be one of {RELEVANCE_BASES}, got {basis!r}")
     frames = list(frames)
     if not frames:
         raise EmptyInput("relevance over an empty window")
@@ -173,7 +165,7 @@ def relevance_score(frames: Sequence[WeightedFrame], question, basis: str = "mea
         if d.shape != q.shape:
             raise DimensionMismatch(f"vector shapes differ: {d.shape} vs {q.shape}")
         scores.append(_cosine(d, _norm(d), q, nq))
-    return float(_AGGREGATES[basis](scores))
+    return float(np.mean(scores))
 
 
 def target_count(score: float, cfg: ConsolidationConfig) -> int:

@@ -190,10 +190,10 @@ class WeightedFrame:
         return frame
 
     @classmethod
-    def from_tokens(cls, tokens, source_index: int, context_flag: bool = False) -> "WeightedFrame":
+    def from_tokens(cls, tokens, source_index: int) -> "WeightedFrame":
         """Wrap a raw stream frame: weight 1, unit provenance."""
         provenance = unit_interval(int(source_index))
-        return cls._trusted(as_token_matrix(tokens), 1, provenance, context_flag)
+        return cls._trusted(as_token_matrix(tokens), 1, provenance, False)
 
     @property
     def n_tokens(self) -> int:

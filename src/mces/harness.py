@@ -66,7 +66,6 @@ PARAMS = {
     "m0": ("base_target", int),
     "alpha": ("alpha", float),
     "sigma": ("sigma", float),
-    "basis": ("basis", str),
     "reinit": ("reinit_mode", str),
     "ltm_cap": ("ltm_capacity", int),
 }
@@ -231,15 +230,20 @@ def compute_relevance_metrics(frames: Sequence[WeightedFrame],
 # -- grid handling -------------------------------------------------------
 
 
+def _row_count(spec: ExperimentSpec) -> int:
+    # the rows a run makes, from the axis lengths alone: no point is built
+    return math.prod(len(v) for _, v in spec.sweep) * len(spec.policies) * len(spec.seeds)
+
+
 def _grid(spec: ExperimentSpec) -> list[ExperimentSpec]:
     """One spec per sweep point, every point checked before any row runs."""
-    keys = [k for k, _ in spec.sweep]
-    combos = list(itertools.product(*(v for _, v in spec.sweep)))
-    total = len(combos) * len(spec.policies) * len(spec.seeds)
+    total = _row_count(spec)
     if total > spec.max_grid_points:
         raise GridTooLarge(
             f"{total} rows exceed the cap of {spec.max_grid_points}")
-    return [apply_params(spec, dict(zip(keys, combo))) for combo in combos]
+    keys = [k for k, _ in spec.sweep]
+    return [apply_params(spec, dict(zip(keys, combo)))
+            for combo in itertools.product(*(v for _, v in spec.sweep))]
 
 
 def _params_echo(spec: ExperimentSpec) -> dict:
@@ -290,15 +294,13 @@ def _stream_for(spec: ExperimentSpec, seed: int):
 
 
 def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeline:
-    cfg = spec.cfg
     if policy == "question_merge" and question is None:
         raise MissingQuestion("question_merge needs a question vector")
     if policy == "stream_merge":
         # stream_merge ignores the question by definition
         question = None
-        cfg = replace(cfg, question_required=False)
     _, n_tokens, dims = frames.shape
-    pipe = Pipeline(n_tokens, dims, cfg, question=question,
+    pipe = Pipeline(n_tokens, dims, spec.cfg, question=question,
                     ltm_capacity=spec.ltm_capacity, reinit_mode=spec.reinit_mode)
     deque(pipe._stream_reports(frames), maxlen=0)
     return pipe

@@ -32,7 +32,6 @@ from .consolidation import (
 from .errors import (
     EmptyInput,
     InvalidSpec,
-    MissingQuestion,
     NotFlushed,
     StaleTimestamp,
     ZeroNorm,
@@ -69,21 +68,19 @@ def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationCon
                 *, _residue: bool = False):
     """Gate a window on question relevance, then merge to the gated budget.
 
-    With no question and question_required unset, the window keeps the full
-    base_target budget (question-agnostic mode). ``_residue`` marks the
-    end-of-stream residue: its budget is the gated target scaled by its
-    length relative to a full fill, within [1, len]. Returns (frames, report).
+    With no question, the window keeps the full base_target budget
+    (question-agnostic mode). ``_residue`` marks the end-of-stream residue:
+    its budget is the gated target scaled by its length relative to a full
+    fill, within [1, len]. Returns (frames, report).
     """
     frames = list(frames)
     if not frames:
         raise EmptyInput("consolidate over an empty window")
     if question is None:
-        if cfg.question_required:
-            raise MissingQuestion("configuration requires a question vector")
         score = None
         target = cfg.base_target
     else:
-        score = relevance_score(frames, question, basis=cfg.basis)
+        score = relevance_score(frames, question)
         target = target_count(score, cfg)
     if _residue:
         # ceil(target * len / capacity) in exact integer arithmetic
@@ -137,8 +134,6 @@ class Pipeline:
             raise InvalidSpec(
                 "re-initialization needs base_target < capacity, otherwise every "
                 f"fill would seed {cfg.base_target} >= {cfg.capacity} frames")
-        if cfg.question_required and question is None:
-            raise MissingQuestion("configuration requires a question vector")
         self.question = None
         if question is not None:
             q = np.asarray(question, dtype=np.float64)
@@ -175,14 +170,12 @@ class Pipeline:
         popped = self.short.push(frame)
         self.frames_pushed += 1
         if popped is None:
-            self._note_resident(0)
+            self._note_resident()
             return None
-        saved = self.counters()
         try:
             out, report = consolidate(popped, self.question, self.cfg)
             self._bank(popped, out)
         except BaseException:
-            vars(self).update(saved)
             self.frames_pushed -= 1
             self.short.drain()
             self.short._restore(popped)
@@ -193,7 +186,7 @@ class Pipeline:
         self.short.reinit(seeds)
         self.short._restore(trigger)
         self.seeded_weight_total += sum(s.weight for s in seeds)
-        self._note_resident(0)
+        self._note_resident()
         return report
 
     def flush(self) -> ConsolidationReport | None:
@@ -207,15 +200,13 @@ class Pipeline:
         window = self.short.drain()
         if not window:
             return None
-        saved = self.counters()
         try:
             out, report = consolidate(window, self.question, self.cfg, _residue=True)
             self._bank(window, out)
         except BaseException:
-            vars(self).update(saved)
             self.short._restore(window)
             raise
-        self._note_resident(0)
+        self._note_resident()
         return report
 
     def run_stream(self, frames: Iterable, flush: bool = True) -> list[ConsolidationReport]:
@@ -235,14 +226,14 @@ class Pipeline:
                 yield report
 
     def _bank(self, window: list[WeightedFrame], out: list[WeightedFrame]) -> None:
-        # count a consolidated window and append its result to long-term
-        # memory; the append is all or nothing, and the caller resets the
-        # counters when it raises
+        # append a consolidated window's result to long-term memory, then
+        # count it; the append is all or nothing, so a raise counts nothing
+        resident = len(self.short) + len(self.long) + len(window) + len(out)
+        self.long.append(out)
         self.consolidations_run += 1
         self.consolidation_input_total += len(window)
         self.consolidation_output_total += len(out)
-        self._note_resident(len(window) + len(out))
-        self.long.append(out)
+        self.peak_resident_frames = max(self.peak_resident_frames, resident)
 
     def counters(self) -> dict[str, int]:
         """The COUNTERS attributes by name, in order."""
@@ -257,8 +248,8 @@ class Pipeline:
             return list(window[-target:])
         return [window[i] for i in uniform_sample_indices(len(window), target)]
 
-    def _note_resident(self, in_flight: int) -> None:
-        resident = len(self.short) + len(self.long) + in_flight
+    def _note_resident(self) -> None:
+        resident = len(self.short) + len(self.long)
         if resident > self.peak_resident_frames:
             self.peak_resident_frames = resident
 

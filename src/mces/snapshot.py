@@ -49,19 +49,16 @@ def _frame_meta(frame: WeightedFrame, position_id: int | None = None) -> dict:
     return meta
 
 
-def export_pipeline(pipe: Pipeline, json_path: str,
-                    sidecar_path: str | None = None) -> tuple[str, str | None]:
+def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
     """Write a full pipeline snapshot for later resume.
 
-    The sidecar (token matrices) defaults to the JSON path with a .mces
-    suffix and is omitted for a pipeline that holds no frames, since the
-    container cannot hold zero frames. Returns the paths written.
+    The sidecar (token matrices) is the JSON path with a .mces suffix, where
+    :func:`import_pipeline` looks for it. It is omitted for a pipeline that
+    holds no frames, since the container cannot hold zero frames. Returns
+    the paths written.
     """
     frames = pipe.long.entries + pipe.short.frames
-    if not frames:
-        sidecar_path = None
-    elif sidecar_path is None:
-        sidecar_path = os.path.splitext(json_path)[0] + ".mces"
+    sidecar_path = os.path.splitext(json_path)[0] + ".mces" if frames else None
     doc = {
         "kind": "pipeline_snapshot",
         "snapshot_version": SNAPSHOT_VERSION,

@@ -66,7 +66,6 @@ class StreamHeader:
     n_tokens: int
     dims: int
     has_question: bool
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if not 1 <= self.frame_count <= 0xFFFFFFFF:
@@ -86,7 +85,7 @@ class StreamHeader:
     def pack(self) -> bytes:
         flags = _FLAG_QUESTION if self.has_question else 0
         return _HEADER_STRUCT.pack(
-            MAGIC, self.version, self.frame_count, self.n_tokens, self.dims,
+            MAGIC, FORMAT_VERSION, self.frame_count, self.n_tokens, self.dims,
             flags, b"\x00\x00\x00\x00")
 
 
@@ -103,7 +102,7 @@ def _unpack_header(raw: bytes) -> StreamHeader:
     if t < 1 or n < 1 or d < 1:
         raise StreamFormatError(f"illegal header counts T={t} N={n} D={d}")
     return StreamHeader(frame_count=t, n_tokens=n, dims=d,
-                        has_question=bool(flags & _FLAG_QUESTION), version=version)
+                        has_question=bool(flags & _FLAG_QUESTION))
 
 
 def _as_f32_frame(frame, n_tokens: int, dims: int, index: int) -> np.ndarray:

@@ -348,6 +348,7 @@ class TestChecksBeforeAnyRow:
     @pytest.mark.parametrize("key, value", [
         ("capacity", 16.5), ("sigma", True), ("question_required", "no"),
         ("question_similarity", "per_token"), ("relevance_exclude_context", True),
+        ("basis", "max"), ("question_required", True),
     ])
     def test_cfg_block_is_type_checked(self, tmp_path, capsys, key, value):
         cpath = write_config(tmp_path, cfg={"base_target": 4, "alpha": 0.25, key: value})
@@ -359,11 +360,24 @@ class TestChecksBeforeAnyRow:
     def test_retired_cfg_keys_at_their_value_run(self, tmp_path):
         cpath = write_config(tmp_path, cfg={
             "base_target": 4, "alpha": 0.25, "question_similarity": "pooled",
-            "relevance_exclude_context": False})
+            "relevance_exclude_context": False, "basis": "mean",
+            "question_required": False})
         assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert sorted(doc["spec_echo"]["cfg"]) == [
-            "alpha", "base_target", "basis", "capacity", "question_required", "sigma"]
+        assert sorted(doc["spec_echo"]["cfg"]) == ["alpha", "base_target", "capacity", "sigma"]
+        assert "basis" not in doc["rows"][0]["params"]
+
+    def test_retired_basis_flag_and_sweep_axis_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--config", write_config(tmp_path), "--basis", "mean",
+                  "--out", str(tmp_path / "out")])
+        assert caught.value.code == 2
+        assert "--basis" in capsys.readouterr().err
+        cpath = write_config(tmp_path, sweep={"basis": ["mean"]})
+        assert main(["sweep", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'basis'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, name", [
         ({"max_grid_points": "x"}, "max_grid_points"),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from mces import (
     EmptyInput,
     InvalidSpec,
     InvalidTarget,
-    MissingQuestion,
     WeightedFrame,
     consolidate,
     greedy_merge,
@@ -32,7 +33,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = ConsolidationConfig()
         assert (cfg.capacity, cfg.base_target, cfg.alpha, cfg.sigma) == (16, 4, 0.25, 0.25)
-        assert cfg.basis == "mean"
+        assert [f.name for f in fields(cfg)] == ["capacity", "base_target", "alpha", "sigma"]
 
     def test_from_dict_accepts_legacy_window_keys_matching_capacity(self):
         cfg = ConsolidationConfig.from_dict(
@@ -51,19 +52,33 @@ class TestConfig:
         for bad in ({"capacity": "sixteen"}, {"window_size": None}):
             with pytest.raises(InvalidSpec):
                 ConsolidationConfig.from_dict(bad)
+        # the legacy window keys are type-checked before they are multiplied
+        for bad, key in (({"window_size": "ab", "windows_per_fill": 3}, "window_size"),
+                         ({"window_size": 8.5, "windows_per_fill": 2}, "window_size"),
+                         ({"window_size": 16, "windows_per_fill": True}, "windows_per_fill"),
+                         ({"capacity": "ab", "windows_per_fill": 3}, "capacity")):
+            with pytest.raises(InvalidSpec, match=key) as caught:
+                ConsolidationConfig.from_dict(bad)
+            assert "abab" not in str(caught.value)
 
     def test_from_dict_accepts_retired_relevance_keys_at_their_value(self):
         cfg = ConsolidationConfig.from_dict(
             {"capacity": 8, "question_similarity": "pooled",
-             "relevance_exclude_context": False})
+             "relevance_exclude_context": False, "basis": "mean",
+             "question_required": False})
         assert cfg == ConsolidationConfig(capacity=8)
         assert cfg.to_dict()["question_similarity"] == "pooled"
         assert cfg.to_dict()["relevance_exclude_context"] is False
+        assert cfg.to_dict()["basis"] == "mean"
+        assert cfg.to_dict()["question_required"] is False
 
     @pytest.mark.parametrize("key, value", [
         ("question_similarity", "per_token"),
         ("relevance_exclude_context", True),
         ("relevance_exclude_context", 0),
+        ("basis", "max"),
+        ("question_required", True),
+        ("question_required", 0),
     ])
     def test_from_dict_refuses_retired_relevance_keys_at_other_values(self, key, value):
         with pytest.raises(InvalidSpec, match=key):
@@ -101,10 +116,6 @@ class TestConfig:
             ConsolidationConfig(sigma=1.5)
         ConsolidationConfig(sigma=-1.0)
 
-    def test_enum_knobs(self):
-        with pytest.raises(InvalidSpec):
-            ConsolidationConfig(basis="median")
-
     @pytest.mark.parametrize("alpha,base,want", [
         (0.25, 4, 1),
         (0.375, 4, 2),   # 1.5 rounds half up
@@ -120,13 +131,11 @@ class TestConfig:
 
 
 class TestRelevanceScore:
-    def test_bases(self):
+    def test_mean_of_frame_scores(self):
         frames = [D(1, 0, 0), D(0, 1, 0), D(1, 1, 0)]
         q = [1.0, 0.0, 0.0]
         half = np.sqrt(2.0) / 2.0
-        assert abs(relevance_score(frames, q, "mean") - (1 + 0 + half) / 3) < 1e-12
-        assert abs(relevance_score(frames, q, "min") - 0.0) < 1e-12
-        assert abs(relevance_score(frames, q, "max") - 1.0) < 1e-12
+        assert abs(relevance_score(frames, q) - (1 + 0 + half) / 3) < 1e-12
 
     def test_question_scale_invariant(self, rng):
         frames = make_frames(rng, 4, 3, 6)
@@ -136,10 +145,6 @@ class TestRelevanceScore:
     def test_empty_window(self):
         with pytest.raises(EmptyInput):
             relevance_score([], [1.0, 0.0])
-
-    def test_unknown_knobs(self):
-        with pytest.raises(InvalidSpec):
-            relevance_score([D(1, 0, 0)], [1.0, 0.0, 0.0], basis="median")
 
 
 class TestTargetCount:
@@ -242,11 +247,6 @@ class TestConsolidate:
         assert report.relevance is None
         assert report.relevant is None
         assert report.target == 4
-
-    def test_question_required(self, rng):
-        cfg = ConsolidationConfig(question_required=True)
-        with pytest.raises(MissingQuestion):
-            consolidate(make_frames(rng, 4, 1, 4), None, cfg)
 
     def test_aligned_window_keeps_base_target(self):
         q = np.array([1.0, 0.0, 0.0])

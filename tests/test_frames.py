@@ -340,7 +340,7 @@ class TestWeightedMerge:
 
     def test_context_flag_survives_only_when_both(self):
         base = WeightedFrame.from_tokens([[1.0, 1.0]], 0)
-        ctx = WeightedFrame.from_tokens([[1.0, 1.0]], 1, context_flag=True)
+        ctx = WeightedFrame.from_tokens([[1.0, 1.0]], 1).as_context()
         assert not weighted_merge(base, base).context_flag
         assert not weighted_merge(base, ctx).context_flag
         assert not weighted_merge(ctx, base).context_flag

@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,17 @@ from mces import (
     write_report,
     write_stream,
 )
-from mces.harness import BASELINES, _run_pipeline, _stream_for, apply_params
+from mces.cli import build_parser
+from mces.harness import (
+    BASELINES,
+    PARAM_ALIASES,
+    PARAMS,
+    _run_pipeline,
+    _stream_for,
+    apply_params,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_synth(**kw):
@@ -100,9 +113,9 @@ class TestApplyParams:
     def test_names_values_and_aliases(self):
         spec = apply_params(ExperimentSpec(synthetic=tiny_synth()),
                             {"l_short": 8, "m0": 2, "alpha": 1, "sigma": 0.5,
-                             "basis": "max", "reinit": "uniform", "l_long": 32})
+                             "reinit": "uniform", "l_long": 32})
         assert spec.cfg == ConsolidationConfig(capacity=8, base_target=2, alpha=1.0,
-                                               sigma=0.5, basis="max")
+                                               sigma=0.5)
         assert (spec.ltm_capacity, spec.reinit_mode) == (32, "uniform_sample")
 
     @pytest.mark.parametrize("params, name", [
@@ -112,6 +125,30 @@ class TestApplyParams:
     def test_rejects_naming_the_parameter(self, params, name):
         with pytest.raises(InvalidSpec, match=name):
             apply_params(ExperimentSpec(synthetic=tiny_synth()), params)
+
+    def test_readme_table_lists_the_params_and_their_aliases(self):
+        # the run-parameter table in README.md against harness.PARAMS, and
+        # each row's flag against the options of ``mces run``
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| name | sets | flag | config key | sweep axis |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        names, aliases, flags = [], {}, {}
+        for cell, _, flag, _, _ in rows:
+            name, alias = re.fullmatch(r"`(\w+)`(?: \(alias `(\w+)`\))?", cell).groups()
+            names.append(name)
+            if alias is not None:
+                aliases[alias] = name
+            flags[name] = flag.strip("`")
+        assert names == list(PARAMS)
+        assert aliases == PARAM_ALIASES
+        # argparse names a flag's attribute after it, and `mces run` reads
+        # each parameter from the attribute of its name
+        assert flags == {name: "--" + name.replace("_", "-") for name in PARAMS}
+        assert set(PARAMS) <= set(vars(build_parser().parse_args(["run"])))
 
 
 class TestRelevanceMetrics:
@@ -265,6 +302,16 @@ class TestSweep:
                               sweep=(("k", (4, 8, 16, 32)),))
         with pytest.raises(GridTooLarge):
             sweep(spec)
+
+    def test_grid_cap_counts_rows_before_listing_points(self):
+        # 10^9 points: listing them first would take minutes and gigabytes
+        axis = tuple(range(1, 1001))
+        spec = ExperimentSpec(synthetic=tiny_synth(), max_grid_points=10,
+                              sweep=(("k", axis), ("m0", axis), ("ltm_cap", axis)))
+        t0 = time.perf_counter()
+        with pytest.raises(GridTooLarge, match="1000000000 rows"):
+            run(spec)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPlantEval:

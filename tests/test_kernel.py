@@ -27,7 +27,6 @@ from mces import (
     unit_interval,
     weighted_merge,
 )
-from mces.consolidation import RELEVANCE_BASES
 
 import oracles
 
@@ -98,8 +97,8 @@ def test_greedy_merge_peak_stays_within_eight_frames():
     assert peak <= 8 * size
 
 
-def plain_relevance(frames, question, basis):
-    """cosine(frame_descriptor(f), q) aggregated, through numpy's wrappers."""
+def plain_relevance(frames, question):
+    """The mean of cosine(frame_descriptor(f), q), through numpy's wrappers."""
     q = np.asarray(question, dtype=np.float64)
     scores = []
     for f in frames:
@@ -107,7 +106,7 @@ def plain_relevance(frames, question, basis):
         d = mean / float(np.linalg.norm(mean))
         na, nq = float(np.linalg.norm(d)), float(np.linalg.norm(q))
         scores.append(float(np.clip(np.dot(d, q) / (na * nq), -1.0, 1.0)))
-    return float({"mean": np.mean, "min": np.min, "max": np.max}[basis](scores))
+    return float(np.mean(scores))
 
 
 def question_frames(seed, shape):
@@ -120,15 +119,22 @@ def question_frames(seed, shape):
     return q, leaning
 
 
-@pytest.mark.parametrize("basis", RELEVANCE_BASES)
+@pytest.mark.parametrize("stat", ["mean", "min", "max"])
 @pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_relevance_score_is_bitwise_the_plain_expression(shape, basis):
+def test_relevance_score_is_bitwise_the_plain_expression(shape, stat):
+    # mean: the whole window; min and max: a one-frame window (a residue of
+    # one) holding the least or the most question-aligned frame
     q, frames = question_frames(3, shape)
-    want = plain_relevance(frames, q, basis)
-    assert relevance_score(frames, q, basis) == want
-    assert relevance_score(frames, list(q), basis) == want
+    scores = [plain_relevance([f], q) for f in frames]
+    if stat == "min":
+        frames = [frames[int(np.argmin(scores))]]
+    elif stat == "max":
+        frames = [frames[int(np.argmax(scores))]]
+    want = plain_relevance(frames, q)
+    assert relevance_score(frames, q) == want
+    assert relevance_score(frames, list(q)) == want
     for f in frames:
-        assert cosine(frame_descriptor(f), q) == plain_relevance([f], q, "mean")
+        assert cosine(frame_descriptor(f), q) == plain_relevance([f], q)
         assert np.array_equal(frame_descriptor(f.tokens), frame_descriptor(f))
 
 
@@ -184,7 +190,7 @@ def test_pushed_frame_equals_the_public_constructor(shape):
     for x in raw:
         buffer.push(x)
     pushed = [*buffer.frames,
-              WeightedFrame.from_tokens(raw[0], np.int64(7), context_flag=True)]
+              WeightedFrame.from_tokens(raw[0], np.int64(7)).as_context()]
     wants = [WeightedFrame(x, 1, unit_interval(i)) for i, x in enumerate(raw)]
     wants.append(WeightedFrame(raw[0], 1, unit_interval(7), context_flag=True))
     assert len(pushed) == len(wants)

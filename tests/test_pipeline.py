@@ -6,10 +6,10 @@ import pytest
 from mces import (
     ConsolidationConfig,
     InvalidSpec,
-    MissingQuestion,
     NotFlushed,
     Pipeline,
     PositionalTable,
+    ShapeMismatch,
     SyntheticSpec,
     StaleTimestamp,
     ZeroNorm,
@@ -49,12 +49,6 @@ class TestConstruction:
         with pytest.raises(InvalidSpec):
             Pipeline(2, 4, full, reinit_mode="merged_tokens")
         Pipeline(2, 4, full, reinit_mode="none")  # identity consolidation is fine
-
-    def test_question_required(self):
-        cfg = ConsolidationConfig(question_required=True)
-        with pytest.raises(MissingQuestion):
-            Pipeline(2, 4, cfg)
-        Pipeline(2, 4, cfg, question=Q4)
 
     def test_question_validated(self):
         with pytest.raises(InvalidSpec):
@@ -242,6 +236,24 @@ class TestFailedConsolidationKeepsState:
             assert exported(pipe, tmp_path / "before.json") == before
             assert pipe.total_memory_weight() == pipe.frames_pushed
             assert len(pipe.long.position_ids) == len(pipe.long) == 2
+
+    def test_refused_frame_at_a_full_buffer_fires_nothing(self, tmp_path, rng):
+        pipe = Pipeline(2, 4)
+        for _ in range(16):
+            assert pipe.step(rng.standard_normal((2, 4))) is None
+        assert len(pipe.short) == pipe.cfg.capacity
+        before = exported(pipe, tmp_path / "before.json")
+        for bad, error in ((np.full((2, 4), np.nan), ValueError),
+                           (np.ones((2, 5)), ShapeMismatch)):
+            with pytest.raises(error):
+                pipe.step(bad)
+            assert exported(pipe, tmp_path / "before.json") == before
+            assert (pipe.frames_pushed, pipe.consolidations_run) == (16, 0)
+            view = pipe.assemble_breakpoint(15)
+            assert view.items[-1][0].provenance == ((15, 16, 1),)
+        report = pipe.step(rng.standard_normal((2, 4)))
+        assert report is not None and report.input_count == 16
+        assert (pipe.frames_pushed, pipe.consolidations_run) == (17, 1)
 
 
 class TestConservation:

@@ -203,7 +203,7 @@ class TestImport:
         ("bogus", 1), ("window_size", 4),
         ("question_similarity", "per_token"), ("relevance_exclude_context", True),
         ("relevance_exclude_context", 0), ("capacity", 16.5), ("sigma", True),
-        ("question_required", "no"),
+        ("question_required", "no"), ("question_required", True), ("basis", "max"),
     ])
     def test_bad_config_key_rejected(self, tmp_path, rng, key, value):
         jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "s.json"))
@@ -219,6 +219,8 @@ class TestImport:
         config = json.loads((tmp_path / "s.json").read_text())["config"]
         assert config["question_similarity"] == "pooled"
         assert config["relevance_exclude_context"] is False
+        assert config["basis"] == "mean"
+        assert config["question_required"] is False
         assert import_pipeline(jp).cfg == pipe.cfg
 
     @pytest.mark.parametrize("path, value, match", [
