@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BadMagic,
-    BufferNotEmpty,
     ConfigError,
     DimensionMismatch,
     EmptyInput,
@@ -100,6 +99,5 @@ from .harness import (
     compute_relevance_metrics,
     plant_eval,
     run,
-    sweep,
     write_report,
 )

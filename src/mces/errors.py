@@ -21,7 +21,6 @@ __all__ = [
     "EmptyInput",
     "MissingQuestion",
     "GridTooLarge",
-    "BufferNotEmpty",
     "SeedTooLarge",
     "PositionOutOfRange",
     "MemoryTooLongForTable",
@@ -90,12 +89,8 @@ class GridTooLarge(ConfigError):
     """A sweep grid exceeds the configured safety cap."""
 
 
-class BufferNotEmpty(McesError):
-    """Re-initialization attempted on a buffer that still holds frames."""
-
-
 class SeedTooLarge(McesError):
-    """A re-initialization seed does not fit under the buffer capacity."""
+    """Context seeds do not fit beside the buffered frames under capacity."""
 
 
 class PositionOutOfRange(McesError):

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -48,7 +47,6 @@ __all__ = [
     "run",
     "plant_eval",
     "bench_mem",
-    "sweep",
     "check_gate",
     "build_report",
     "canonical_report_bytes",
@@ -71,8 +69,7 @@ PARAMS = {
 }
 # the paper's buffer-length names for the two capacities
 PARAM_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
-VALUE_ALIASES = {"reinit": {"merged": "merged_tokens", "last": "last_k",
-                            "uniform": "uniform_sample"}}
+VALUE_ALIASES = {"reinit": {"merged": "merged_tokens"}}
 _CFG_FIELDS = frozenset(f.name for f in fields(ConsolidationConfig))
 
 
@@ -302,7 +299,9 @@ def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeli
     _, n_tokens, dims = frames.shape
     pipe = Pipeline(n_tokens, dims, spec.cfg, question=question,
                     ltm_capacity=spec.ltm_capacity, reinit_mode=spec.reinit_mode)
-    deque(pipe._stream_reports(frames), maxlen=0)
+    for frame in frames:
+        pipe.step(frame)
+    pipe.flush()
     return pipe
 
 
@@ -441,7 +440,9 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
                         question=None, ltm_capacity=spec.ltm_capacity,
                         reinit_mode="none")
         t0 = time.perf_counter()
-        deque(pipe._stream_reports(lazy), maxlen=0)
+        for frame in lazy:
+            pipe.step(frame)
+        pipe.flush()
         wall = time.perf_counter() - t0
         record = pipe.bytes_model()
         raw = record.raw_bytes_per_frame
@@ -468,13 +469,6 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
         "gate": {"passed": bool(len(peaks) == 1 and amortized_ok)},
     }
     return build_report(spec, rows, extra={"summary": summary})
-
-
-def sweep(spec: ExperimentSpec) -> dict:
-    """Grid sweep; identical to :func:`run` but insists on a grid."""
-    if not spec.sweep:
-        raise InvalidSpec("sweep needs at least one axis")
-    return run(spec)
 
 
 def check_gate(report: dict) -> None:

@@ -2,9 +2,9 @@
 
 The short-term buffer holds at most ``capacity`` frames. Pushing into a full
 buffer pops the entire contents (a fill) and starts the next fill with the
-frame that triggered the overflow. Context seeds planted by ``reinit`` count
-against capacity, so each later fill completes after capacity - len(seeds)
-fresh pushes.
+frame that triggered the overflow. Context seeds put in front of that frame
+by ``seed`` count against capacity, so the next fill completes after
+capacity - len(seeds) fresh pushes.
 
 The long-term store appends consolidated frames with strictly increasing
 position ids and, whenever it outgrows its cap, greedily merges the most
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BufferNotEmpty,
     InvalidSpec,
     MemoryTooLongForTable,
     PositionOutOfRange,
@@ -99,33 +98,37 @@ class ShortTermBuffer:
         self._frames.append(wrapped)
         return None
 
-    def reinit(self, seeds: Sequence[WeightedFrame]) -> None:
-        """Seed an empty buffer with carried-over context frames.
+    def seed(self, seeds: Sequence[WeightedFrame]) -> None:
+        """Put carried-over context frames in front of the buffered ones.
 
-        Seeds are stored with context_flag set and count against capacity.
-        An empty seed list is just a no-op on an already-empty buffer.
+        The buffer stores copies with context_flag set; the caller's frames
+        are untouched. Seeds count against capacity, and SeedTooLarge is
+        raised when they do not fit beside what is already buffered.
         """
-        if self._frames:
-            raise BufferNotEmpty(f"buffer still holds {len(self._frames)} frames")
-        if len(seeds) >= self.capacity:
+        if len(seeds) + len(self._frames) > self.capacity:
             raise SeedTooLarge(
-                f"{len(seeds)} seeds do not fit under capacity {self.capacity}")
+                f"{len(seeds)} seeds do not fit beside {len(self._frames)} frames "
+                f"under capacity {self.capacity}")
         for seed in seeds:
             self._check_shape(seed.tokens)
-        self._frames = [seed.as_context() for seed in seeds]
+        self._frames[:0] = [seed.as_context() for seed in seeds]
 
     def drain(self) -> list[WeightedFrame]:
         """Remove and return everything currently buffered."""
         frames, self._frames = self._frames, []
         return frames
 
+    def _unpush(self, fill: list[WeightedFrame]) -> None:
+        # undo the push that popped ``fill``: its trigger frame goes, the
+        # fill is buffered again and the trigger's source index is given back
+        self._frames = list(fill)
+        self._next_source_index -= 1
+
     def _restore(self, frames: Iterable[WeightedFrame]) -> None:
-        # requeue already-wrapped frames (no new source indices); used by the
-        # pipeline to put an overflow trigger back after reseeding
+        # requeue already-wrapped frames (no new source indices) into a
+        # drained buffer; callers keep them within capacity
         for frame in frames:
             self._check_shape(frame.tokens)
-            if len(self._frames) >= self.capacity:
-                raise BufferNotEmpty("restore would exceed capacity")
             self._frames.append(frame)
 
 

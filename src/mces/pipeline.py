@@ -3,9 +3,10 @@
 One Pipeline serves one question (or none). Frames go through the short-term
 buffer; every time it fills, the fill is consolidated under the question
 gate, the result is appended to long-term memory, and the buffer restarts,
-optionally seeded with carried-over context. ``flush`` consolidates whatever
-is left at end of stream with a proportionally scaled budget. Both go
-through :func:`consolidate`, the one gate from a window to its merged frames.
+under ``merged_tokens`` seeded with that result as context. ``flush``
+consolidates whatever is left at end of stream with a proportionally scaled
+budget. Both go through :func:`consolidate`, the one gate from a window to
+its merged frames.
 
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
@@ -37,7 +38,6 @@ from .errors import (
     ZeroNorm,
 )
 from .frames import NORM_FLOOR, WeightedFrame
-from .baselines import uniform_sample_indices
 from .memory import LongTermMemory, PositionalTable, ShortTermBuffer, assign_positions
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
     "consolidate",
 ]
 
-REINIT_MODES = ("merged_tokens", "last_k", "uniform_sample", "none")
+REINIT_MODES = ("merged_tokens", "none")
 
 # Pipeline attributes that snapshots and reports carry, in report order.
 COUNTERS = (
@@ -168,24 +168,18 @@ class Pipeline:
         it was before the call.
         """
         popped = self.short.push(frame)
+        report = None
+        if popped is not None:
+            try:
+                out, report = consolidate(popped, self.question, self.cfg)
+                self._bank(popped, out)
+            except BaseException:
+                self.short._unpush(popped)
+                raise
+            if self.reinit_mode == "merged_tokens":
+                self.short.seed(out)
+                self.seeded_weight_total += sum(f.weight for f in out)
         self.frames_pushed += 1
-        if popped is None:
-            self._note_resident()
-            return None
-        try:
-            out, report = consolidate(popped, self.question, self.cfg)
-            self._bank(popped, out)
-        except BaseException:
-            self.frames_pushed -= 1
-            self.short.drain()
-            self.short._restore(popped)
-            self.short._next_source_index -= 1
-            raise
-        trigger = self.short.drain()
-        seeds = self._pick_seeds(popped, out, report.target)
-        self.short.reinit(seeds)
-        self.short._restore(trigger)
-        self.seeded_weight_total += sum(s.weight for s in seeds)
         self._note_resident()
         return report
 
@@ -209,21 +203,11 @@ class Pipeline:
         self._note_resident()
         return report
 
-    def run_stream(self, frames: Iterable, flush: bool = True) -> list[ConsolidationReport]:
+    def run_stream(self, frames: Iterable) -> list[ConsolidationReport]:
         """Push every frame, then flush. Returns all consolidation reports."""
-        return list(self._stream_reports(frames, flush))
-
-    def _stream_reports(self, frames: Iterable, flush: bool = True):
-        # run_stream one report at a time: a caller that wants only the final
-        # state drains it without holding a report per fill
-        for frame in frames:
-            report = self.step(frame)
-            if report is not None:
-                yield report
-        if flush:
-            report = self.flush()
-            if report is not None:
-                yield report
+        reports = [report for frame in frames if (report := self.step(frame)) is not None]
+        last = self.flush()
+        return reports if last is None else reports + [last]
 
     def _bank(self, window: list[WeightedFrame], out: list[WeightedFrame]) -> None:
         # append a consolidated window's result to long-term memory, then
@@ -238,15 +222,6 @@ class Pipeline:
     def counters(self) -> dict[str, int]:
         """The COUNTERS attributes by name, in order."""
         return {name: getattr(self, name) for name in COUNTERS}
-
-    def _pick_seeds(self, window, consolidated, target):
-        if self.reinit_mode == "none":
-            return []
-        if self.reinit_mode == "merged_tokens":
-            return list(consolidated)
-        if self.reinit_mode == "last_k":
-            return list(window[-target:])
-        return [window[i] for i in uniform_sample_indices(len(window), target)]
 
     def _note_resident(self) -> None:
         resident = len(self.short) + len(self.long)

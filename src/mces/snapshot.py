@@ -174,6 +174,9 @@ def import_pipeline(json_path: str) -> Pipeline:
     long, short = _field(doc, "long", dict), _field(doc, "short", dict)
     long_meta = _field(long, "entries", list, "snapshot long")
     short_meta = _field(short, "frames", list, "snapshot short")
+    if len(short_meta) > cfg.capacity:
+        raise InvalidSpec(f"snapshot short.frames holds {len(short_meta)} frames, "
+                          f"over the buffer capacity {cfg.capacity}")
     matrices = _sidecar_frames(doc, json_path, len(long_meta) + len(short_meta))
     with closing(matrices):
         # meta first in each zip, so that no frame is read past the last entry

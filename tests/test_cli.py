@@ -379,6 +379,23 @@ class TestChecksBeforeAnyRow:
         assert err.startswith("config error") and "'basis'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_retired_reinit_modes_exit_2(self, tmp_path, capsys):
+        for value in ("last", "uniform", "last_k"):
+            with pytest.raises(SystemExit) as caught:
+                main(["run", "--config", write_config(tmp_path), "--reinit", value,
+                      "--out", str(tmp_path / "out")])
+            assert caught.value.code == 2
+            assert "--reinit" in capsys.readouterr().err
+        for command, overrides in (("run", {"reinit": "last_k"}),
+                                   ("run", {"reinit": "uniform_sample"}),
+                                   ("sweep", {"sweep": {"reinit": ["uniform"]}}),
+                                   ("sweep", {"sweep": {"reinit": ["none", "last"]}})):
+            cpath = write_config(tmp_path, **overrides)
+            assert main([command, "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "reinit_mode" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overrides, name", [
         ({"max_grid_points": "x"}, "max_grid_points"),
         ({"max_grid_points": 0}, "max_grid_points"),

@@ -27,11 +27,10 @@ from mces import (
     generate_synthetic,
     plant_eval,
     run,
-    sweep,
     write_report,
     write_stream,
 )
-from mces.cli import build_parser
+from mces.cli import build_parser, main as cli_main
 from mces.harness import (
     BASELINES,
     PARAM_ALIASES,
@@ -86,6 +85,7 @@ class TestExperimentSpec:
         ("seeds", ("a",)), ("sample_count", "16"), ("ema_decay", "x"),
         ("question", (float("nan"), 1.0)), ("question", (float("inf"), 1.0)),
         ("ltm_capacity", 0), ("ltm_capacity", 2.5), ("reinit_mode", "merged"),
+        ("reinit_mode", "last_k"), ("reinit_mode", "uniform_sample"),
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(InvalidSpec):
@@ -111,16 +111,17 @@ class TestExperimentSpec:
 
 class TestApplyParams:
     def test_names_values_and_aliases(self):
-        spec = apply_params(ExperimentSpec(synthetic=tiny_synth()),
+        spec = apply_params(ExperimentSpec(synthetic=tiny_synth(), reinit_mode="none"),
                             {"l_short": 8, "m0": 2, "alpha": 1, "sigma": 0.5,
-                             "reinit": "uniform", "l_long": 32})
+                             "reinit": "merged", "l_long": 32})
         assert spec.cfg == ConsolidationConfig(capacity=8, base_target=2, alpha=1.0,
                                                sigma=0.5)
-        assert (spec.ltm_capacity, spec.reinit_mode) == (32, "uniform_sample")
+        assert (spec.ltm_capacity, spec.reinit_mode) == (32, "merged_tokens")
 
     @pytest.mark.parametrize("params, name", [
         ({"window": 4}, "window"), ({"m0": 2.5}, "m0"), ({"k": "8"}, "k"),
         ({"alpha": True}, "alpha"), ({"basis": 1}, "basis"), ({"reinit": 1}, "reinit"),
+        ({"reinit": "last"}, "reinit"), ({"reinit": "uniform"}, "reinit"),
     ])
     def test_rejects_naming_the_parameter(self, params, name):
         with pytest.raises(InvalidSpec, match=name):
@@ -279,7 +280,7 @@ class TestSweep:
             policies=("stream_merge",),
             sweep=(("l_short", (8, 16)), ("m0", (1, 2)),
                    ("reinit", ("none", "merged_tokens"))))
-        report = sweep(spec)
+        report = run(spec)
         seen = {(r["params"]["k"], r["params"]["m0"], r["params"]["reinit"])
                 for r in report["rows"]}
         assert len(report["rows"]) == 8
@@ -289,19 +290,28 @@ class TestSweep:
     def test_point_overrides_reach_the_config(self):
         spec = ExperimentSpec(synthetic=tiny_synth(), policies=("stream_merge",),
                               sweep=(("k", (8,)), ("alpha", (0.5,))))
-        row = sweep(spec)["rows"][0]
+        row = run(spec)["rows"][0]
         assert row["params"]["k"] == 8
         assert row["params"]["alpha"] == 0.5
 
-    def test_sweep_requires_axes(self):
-        with pytest.raises(InvalidSpec):
-            sweep(ExperimentSpec(synthetic=tiny_synth()))
+    def test_sweep_requires_axes(self, tmp_path, capsys):
+        # the sweep command insists on a grid; run takes a spec without one
+        config = {"synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
+                  "cfg": {"base_target": 4, "alpha": 0.25},
+                  "policies": ["stream_merge"]}
+        cpath = tmp_path / "nogrid.json"
+        cpath.write_text(json.dumps(config))
+        assert cli_main(["sweep", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+        assert "sweep needs at least one axis" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        report = run(ExperimentSpec(synthetic=tiny_synth(), policies=("stream_merge",)))
+        assert len(report["rows"]) == 1
 
     def test_grid_cap(self):
         spec = ExperimentSpec(synthetic=tiny_synth(), max_grid_points=3,
                               sweep=(("k", (4, 8, 16, 32)),))
         with pytest.raises(GridTooLarge):
-            sweep(spec)
+            run(spec)
 
     def test_grid_cap_counts_rows_before_listing_points(self):
         # 10^9 points: listing them first would take minutes and gigabytes

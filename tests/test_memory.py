@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mces import (
-    BufferNotEmpty,
     InvalidSpec,
     LongTermMemory,
     MemoryTooLongForTable,
@@ -96,37 +95,67 @@ class TestShortTermBuffer:
         assert len(calls) == 4
         assert buf.next_source_index == 3
 
-    def test_reinit_requires_empty(self, rng):
-        buf = ShortTermBuffer(4, 1, 2)
-        buf.push(rng.standard_normal((1, 2)))
-        with pytest.raises(BufferNotEmpty):
-            buf.reinit(make_frames(rng, 1, 1, 2))
+    def fill_and_trigger(self, rng, capacity=4):
+        # a buffer whose last push popped a full fill; it holds the trigger
+        buf = ShortTermBuffer(capacity, 1, 2)
+        for _ in range(capacity):
+            buf.push(rng.standard_normal((1, 2)))
+        fill = buf.push(rng.standard_normal((1, 2)))
+        assert fill is not None and len(buf) == 1
+        return buf, fill
+
+    def test_seeds_go_in_front_of_the_trigger(self, rng):
+        buf, _ = self.fill_and_trigger(rng)
+        trigger = buf.frames[0]
+        seeds = make_frames(rng, 2, 1, 2)
+        buf.seed(seeds)
+        assert len(buf) == 3
+        assert buf.frames[2] is trigger
+        assert [f.provenance for f in buf.frames[:2]] == [f.provenance for f in seeds]
+        assert all(np.array_equal(f.tokens, s.tokens) for f, s in zip(buf.frames, seeds))
 
     def test_reinit_marks_context(self, rng):
-        buf = ShortTermBuffer(4, 1, 2)
+        buf, _ = self.fill_and_trigger(rng)
         seeds = make_frames(rng, 2, 1, 2)
-        buf.reinit(seeds)
-        assert all(f.context_flag for f in buf.frames)
+        buf.seed(seeds)
+        assert [f.context_flag for f in buf.frames] == [True, True, False]
         # the originals stay untouched
         assert not any(f.context_flag for f in seeds)
 
     def test_seeds_count_against_capacity(self, rng):
-        buf = ShortTermBuffer(4, 1, 2)
-        buf.reinit(make_frames(rng, 3, 1, 2))
+        buf, _ = self.fill_and_trigger(rng)
+        buf.seed(make_frames(rng, 2, 1, 2))
         assert buf.push(rng.standard_normal((1, 2))) is None
         popped = buf.push(rng.standard_normal((1, 2)))
         assert popped is not None and len(popped) == 4
-        assert sum(1 for f in popped if f.context_flag) == 3
+        assert sum(1 for f in popped if f.context_flag) == 2
 
     def test_seed_overflow_refused(self, rng):
-        buf = ShortTermBuffer(3, 1, 2)
+        buf, _ = self.fill_and_trigger(rng, capacity=3)
+        before = buf.frames
         with pytest.raises(SeedTooLarge):
-            buf.reinit(make_frames(rng, 3, 1, 2))
+            buf.seed(make_frames(rng, 3, 1, 2))
+        assert buf.frames == before
+        buf.seed(make_frames(rng, 2, 1, 2))  # fills the buffer exactly
+        assert len(buf) == 3
 
-    def test_empty_reinit_is_noop(self):
-        buf = ShortTermBuffer(3, 1, 2)
-        buf.reinit([])
-        assert len(buf) == 0
+    def test_empty_reinit_is_noop(self, rng):
+        buf, _ = self.fill_and_trigger(rng)
+        before = buf.frames
+        buf.seed([])
+        assert buf.frames == before
+
+    def test_unpush_gives_back_the_fill_and_the_source_index(self, rng):
+        buf, fill = self.fill_and_trigger(rng)
+        assert buf.next_source_index == 5
+        buf._unpush(fill)
+        assert len(buf) == len(fill)
+        assert all(a is b for a, b in zip(buf.frames, fill))
+        assert buf.next_source_index == 4
+        # the next push pops the same fill again, under the same index
+        again = buf.push(rng.standard_normal((1, 2)))
+        assert len(again) == len(fill) and all(a is b for a, b in zip(again, fill))
+        assert buf.frames[0].provenance == ((4, 5, 1),)
 
     def test_drain_and_restore(self, rng):
         buf = ShortTermBuffer(3, 1, 2)
@@ -137,11 +166,6 @@ class TestShortTermBuffer:
         buf._restore(frames)
         assert buf.frames == tuple(frames)
         assert buf.next_source_index == 2
-
-    def test_restore_respects_capacity(self, rng):
-        buf = ShortTermBuffer(2, 1, 2)
-        with pytest.raises(BufferNotEmpty):
-            buf._restore(make_frames(rng, 3, 1, 2))
 
 
 def replay_appends(batches, capacity):

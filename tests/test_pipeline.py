@@ -116,18 +116,26 @@ class TestSeeding:
         assert pipe.seeded_weight_total == 16
 
     def test_last_k_seeds_tail_frames(self, rng):
-        pipe = Pipeline(2, 4, question=Q4, reinit_mode="last_k")
+        # last_k, which seeded the next fill with its tail frames, is retired
+        with pytest.raises(InvalidSpec, match="last_k"):
+            Pipeline(2, 4, question=Q4, reinit_mode="last_k")
+        pipe = Pipeline(2, 4, question=Q4)
         run_steps(pipe, aligned_frame, rng, 17)
+        # the default seeds carry the whole fill forward, not only frames 12-15
         seeds = pipe.short.frames[:4]
-        assert [s.provenance for s in seeds] == [
-            ((12, 13, 1),), ((13, 14, 1),), ((14, 15, 1),), ((15, 16, 1),)]
-        assert pipe.seeded_weight_total == 4
+        assert seeds[0].provenance[0][0] == 0
+        assert sum(s.weight for s in seeds) == 16
 
     def test_uniform_sample_seeds_spread(self, rng):
-        pipe = Pipeline(2, 4, question=Q4, reinit_mode="uniform_sample")
+        # uniform_sample, which seeded one frame from each quarter, is retired
+        with pytest.raises(InvalidSpec, match="uniform_sample"):
+            Pipeline(2, 4, question=Q4, reinit_mode="uniform_sample")
+        pipe = Pipeline(2, 4, question=Q4)
         run_steps(pipe, aligned_frame, rng, 17)
-        seeds = pipe.short.frames[:4]
-        assert [s.provenance[0][0] for s in seeds] == [0, 4, 8, 12]
+        # the default seeds' spans tile the fill, frames 0-15, in order
+        spans = [span for s in pipe.short.frames[:4] for span in s.provenance]
+        assert spans[0][0] == 0 and spans[-1][1] == 16
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     def test_none_mode_never_seeds(self, rng):
         pipe = Pipeline(2, 4, question=Q4, reinit_mode="none")
@@ -177,10 +185,12 @@ class TestFlush:
         for ea, eb in zip(a.long.entries, b.long.entries):
             assert np.array_equal(ea.tokens, eb.tokens)
 
-    def test_run_stream_without_flush_leaves_residue(self, rng):
+    def test_run_stream_always_flushes(self, rng):
         pipe = Pipeline(2, 4)
-        pipe.run_stream([rng.standard_normal((2, 4)) for _ in range(20)], flush=False)
-        assert len(pipe.short) > 0
+        reports = pipe.run_stream([rng.standard_normal((2, 4)) for _ in range(20)])
+        assert len(pipe.short) == 0
+        # one fill at push 17, then the residue of 4 seeds and 4 fresh frames
+        assert [r.input_count for r in reports] == [16, 8]
 
 
 def exported(pipe, path):

@@ -135,9 +135,8 @@ class TestImport:
         jp, _ = export_pipeline(Pipeline(2, 4), str(tmp_path / "e.json"))
         back = import_pipeline(jp)
         assert back.frames_pushed == 0
-        reports = back.run_stream([rng.standard_normal((2, 4)) for _ in range(17)],
-                                  flush=False)
-        assert len(reports) == 1
+        fired = [back.step(rng.standard_normal((2, 4))) for _ in range(17)]
+        assert sum(report is not None for report in fired) == 1
 
     def test_resume_matches_uninterrupted_run(self, tmp_path, rng):
         frames = [rng.standard_normal((2, 4)) for _ in range(40)]
@@ -382,3 +381,26 @@ class TestFormatOneFixture:
         for suffix in (".json", ".mces"):
             assert (tmp_path / f"snapshot_v1{suffix}").read_bytes() == \
                    (FIXTURES / f"snapshot_v1{suffix}").read_bytes()
+
+    def edited_copy(self, tmp_path, edit):
+        # the fixture copied into tmp_path, with ``edit`` applied to its JSON
+        doc = json.loads((FIXTURES / "snapshot_v1.json").read_text())
+        edit(doc)
+        (tmp_path / "snapshot_v1.json").write_text(json.dumps(doc))
+        (tmp_path / "snapshot_v1.mces").write_bytes((FIXTURES / "snapshot_v1.mces").read_bytes())
+        return str(tmp_path / "snapshot_v1.json")
+
+    @pytest.mark.parametrize("mode", ["last_k", "uniform_sample"])
+    def test_retired_reinit_mode_refused(self, tmp_path, opened, mode):
+        path = self.edited_copy(tmp_path, lambda doc: doc.update(reinit_mode=mode))
+        with pytest.raises(InvalidSpec, match="reinit_mode"):
+            import_pipeline(path)
+        assert opened == []
+
+    def test_over_capacity_short_term_refused_before_the_sidecar(self, tmp_path, opened):
+        # the fixture buffers 7 frames; a 6-frame buffer cannot hold them
+        path = self.edited_copy(
+            tmp_path, lambda doc: doc["config"].update(capacity=6, window_size=6))
+        with pytest.raises(InvalidSpec, match=r"short\.frames"):
+            import_pipeline(path)
+        assert opened == []
