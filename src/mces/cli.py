@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .consolidation import ConsolidationConfig
+from .consolidation import ConsolidationConfig, _check_keys
 from .errors import (
     ConfigError,
     GateFailure,
@@ -26,6 +26,7 @@ from .harness import (
     BASELINES,
     PARAMS,
     VALUE_ALIASES,
+    _RETIRED,
     ExperimentSpec,
     _row_count,
     apply_params,
@@ -39,6 +40,11 @@ from .snapshot import export_pipeline, read_json
 from .streamio import SyntheticSpec, iter_stream, iter_synthetic, write_stream
 # unused here; kept only so bench/spans.py can wrap cli.read_stream
 from .streamio import read_stream  # noqa: F401
+
+# the top-level keys an experiment --config may hold besides harness._RETIRED
+_CONFIG_KEYS = ("cfg", "reinit", "ltm_cap", "stream", "synthetic", "question",
+                "seeds", "policies", "sweep")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment spec; flags override it")
@@ -106,6 +112,7 @@ def _parse_segments(value):
 
 def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
     doc = {} if args.config is None else read_json(args.config)
+    _check_keys(doc, _CONFIG_KEYS, _RETIRED)
     with _reading(_inputs(args)):
         cfg_doc = dict(doc.get("cfg", {}))
         # flags win over the config's top-level run parameters
@@ -136,17 +143,9 @@ def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
             policies = [p.strip() for p in args.policies.split(",") if p.strip()]
 
         spec = ExperimentSpec(
-            synthetic=synthetic,
-            stream_file=stream_file,
-            question=question,
-            cfg=ConsolidationConfig.from_dict(cfg_doc),
-            policies=tuple(policies),
-            seeds=tuple(seeds),
-            sweep=tuple(doc.get("sweep", {}).items()),
-            sample_count=doc.get("sample_count", 16),
-            ema_decay=doc.get("ema_decay", 0.5),
-            max_grid_points=doc.get("max_grid_points", 1024),
-        )
+            synthetic=synthetic, stream_file=stream_file, question=question,
+            cfg=ConsolidationConfig.from_dict(cfg_doc), policies=tuple(policies),
+            seeds=tuple(seeds), sweep=tuple(doc.get("sweep", {}).items()))
         return apply_params(spec, params)
 
 

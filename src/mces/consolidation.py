@@ -48,6 +48,17 @@ _RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False,
 _KINDS = {"int": int, "float": float}
 
 
+def _check_keys(doc: dict, known, retired: dict, where: str = "config") -> None:
+    # refuse keys outside known and retired; pop each retired key at its one value
+    unknown = sorted(set(doc) - set(known) - set(retired))
+    if unknown:
+        raise InvalidSpec(f"unknown {where} keys {unknown}")
+    for key, only in retired.items():
+        value = doc.pop(key, only)
+        if type(value) is not type(only) or value != only:
+            raise InvalidSpec(f"retired {where} key {key!r} must be {only!r}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConsolidationConfig:
     """Knobs for one consolidation policy.
@@ -90,15 +101,8 @@ class ConsolidationConfig:
         The retired relevance keys are accepted only at their one value.
         """
         doc = dict(doc)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)}
-                         - {"window_size", "windows_per_fill", *_RETIRED})
-        if unknown:
-            raise InvalidSpec(f"unknown config keys {unknown}")
-        for key, only in _RETIRED.items():
-            value = doc.pop(key, only)
-            if type(value) is not type(only) or value != only:
-                raise InvalidSpec(
-                    f"retired config key {key!r} must be {only!r}, got {value!r}")
+        _check_keys(doc, {f.name for f in fields(cls)} | {"window_size", "windows_per_fill"},
+                      _RETIRED)
         legacy = {key: checked(key, int, doc.pop(key))
                   for key in ("window_size", "windows_per_fill") if key in doc}
         if legacy:

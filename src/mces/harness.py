@@ -71,6 +71,10 @@ PARAMS = {
 PARAM_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
 VALUE_ALIASES = {"reinit": {"merged": "merged_tokens"}}
 _CFG_FIELDS = frozenset(f.name for f in fields(ConsolidationConfig))
+# frames no_memory keeps, ema's decay and the most rows in one run; a
+# --config may still carry these retired keys, at these values only
+_RETIRED = {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}
+_SAMPLE_COUNT, _EMA_DECAY, _MAX_GRID_POINTS = _RETIRED.values()
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,6 @@ class ExperimentSpec:
     policies: tuple[str, ...] = ("question_merge",)
     seeds: tuple[int, ...] = (0,)
     sweep: tuple[tuple[str, tuple], ...] = ()
-    sample_count: int = 16
-    ema_decay: float = 0.5
-    max_grid_points: int = 1024
 
     def __post_init__(self):
         if (self.synthetic is None) == (self.stream_file is None):
@@ -109,15 +110,7 @@ class ExperimentSpec:
         seeds = tuple(checked("seeds", int, s) for s in self.seeds)
         if any(s < 0 for s in seeds):
             raise InvalidSpec("seeds must be >= 0")
-        for name, kind in (("sample_count", int), ("ema_decay", float),
-                           ("max_grid_points", int), ("ltm_capacity", int)):
-            object.__setattr__(self, name, checked(name, kind, getattr(self, name)))
-        if self.sample_count < 1:
-            raise InvalidSpec(f"sample_count must be >= 1, got {self.sample_count}")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise InvalidSpec(f"ema_decay must be in [0, 1), got {self.ema_decay}")
-        if self.max_grid_points < 1:
-            raise InvalidSpec(f"max_grid_points must be >= 1, got {self.max_grid_points}")
+        object.__setattr__(self, "ltm_capacity", checked("ltm_capacity", int, self.ltm_capacity))
         # checked here too, not only by the engine, so that a run of
         # baselines alone cannot echo a setting no pipeline would accept
         if self.ltm_capacity < 1:
@@ -143,9 +136,8 @@ class ExperimentSpec:
             object.__setattr__(self, "question", question)
 
     def to_dict(self) -> dict:
-        """JSON form of every field but the grid cap, which shapes no row."""
-        return _plain({**asdict(self), "sweep": dict(self.sweep)},
-                      drop={"max_grid_points"})
+        """JSON form of every field."""
+        return _plain({**asdict(self), "sweep": dict(self.sweep)}, ())
 
 
 def apply_params(spec: ExperimentSpec, params: dict) -> ExperimentSpec:
@@ -235,9 +227,8 @@ def _row_count(spec: ExperimentSpec) -> int:
 def _grid(spec: ExperimentSpec) -> list[ExperimentSpec]:
     """One spec per sweep point, every point checked before any row runs."""
     total = _row_count(spec)
-    if total > spec.max_grid_points:
-        raise GridTooLarge(
-            f"{total} rows exceed the cap of {spec.max_grid_points}")
+    if total > _MAX_GRID_POINTS:
+        raise GridTooLarge(f"{total} rows exceed the cap of {_MAX_GRID_POINTS}")
     keys = [k for k, _ in spec.sweep]
     return [apply_params(spec, dict(zip(keys, combo)))
             for combo in itertools.product(*(v for _, v in spec.sweep))]
@@ -305,12 +296,12 @@ def _run_pipeline(policy: str, frames, question, spec: ExperimentSpec) -> Pipeli
     return pipe
 
 
-# policy -> (spec, frames) -> retained frames, for every policy but the pipeline's
+# policy -> frames -> retained frames, for every policy but the pipeline's
 BASELINES = {
-    "no_memory": lambda spec, frames: no_memory(frames, spec.sample_count),
-    "spatial_pool": lambda spec, frames: spatial_pool(frames),
-    "temporal_pool": lambda spec, frames: [temporal_pool(frames)],
-    "ema": lambda spec, frames: [ema(frames, spec.ema_decay)],
+    "no_memory": lambda frames: no_memory(frames, _SAMPLE_COUNT),
+    "spatial_pool": spatial_pool,
+    "temporal_pool": lambda frames: [temporal_pool(frames)],
+    "ema": lambda frames: [ema(frames, _EMA_DECAY)],
 }
 
 
@@ -319,7 +310,7 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int,
     t0 = time.perf_counter()
     accounting = pipe = None
     if policy in BASELINES:
-        retained = BASELINES[policy](spec, frames)
+        retained = BASELINES[policy](frames)
         counters = {"retained_frames": len(retained)}
     else:
         pipe = _run_pipeline(policy, frames, question, spec)
@@ -331,7 +322,7 @@ def _run_single(spec: ExperimentSpec, policy: str, seed: int,
     metrics = compute_relevance_metrics(retained, segments, question)
     budget = token_budget(policy, frame_count=frames.shape[0],
                           n_tokens=frames.shape[1],
-                          sample_count=spec.sample_count,
+                          sample_count=_SAMPLE_COUNT,
                           ltm_capacity=spec.ltm_capacity)
     return {
         "policy": policy,

@@ -6,7 +6,8 @@ gate, the result is appended to long-term memory, and the buffer restarts,
 under ``merged_tokens`` seeded with that result as context. ``flush``
 consolidates whatever is left at end of stream with a proportionally scaled
 budget. Both go through :func:`consolidate`, the one gate from a window to
-its merged frames.
+its merged frames. Assembly hands frames downstream without positions;
+:func:`mces.memory.assign_positions` pairs the store with extended ones.
 
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
@@ -38,7 +39,7 @@ from .errors import (
     ZeroNorm,
 )
 from .frames import NORM_FLOOR, WeightedFrame
-from .memory import LongTermMemory, PositionalTable, ShortTermBuffer, assign_positions
+from .memory import LongTermMemory, ShortTermBuffer
 
 __all__ = [
     "REINIT_MODES",
@@ -104,20 +105,17 @@ class AccountingRecord:
 
 @dataclass(frozen=True)
 class VideoRepresentation:
-    """Ordered (frame, positional vector or None) pairs handed downstream."""
+    """Ordered frames handed downstream."""
 
-    items: tuple[tuple[WeightedFrame, np.ndarray | None], ...]
+    frames: tuple[WeightedFrame, ...]
     mode: str
     breakpoint_index: int | None = None
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def frames(self) -> tuple[WeightedFrame, ...]:
-        return tuple(f for f, _ in self.items)
+        return len(self.frames)
 
     def token_count(self) -> int:
-        return sum(f.n_tokens for f, _ in self.items)
+        return sum(f.n_tokens for f in self.frames)
 
 
 class Pipeline:
@@ -125,8 +123,7 @@ class Pipeline:
 
     def __init__(self, n_tokens: int, dims: int, cfg: ConsolidationConfig | None = None,
                  *, question=None, ltm_capacity: int = 256,
-                 reinit_mode: str = "merged_tokens",
-                 pe_table: PositionalTable | None = None):
+                 reinit_mode: str = "merged_tokens"):
         cfg = cfg if cfg is not None else ConsolidationConfig()
         if reinit_mode not in REINIT_MODES:
             raise InvalidSpec(f"reinit_mode must be one of {REINIT_MODES}, got {reinit_mode!r}")
@@ -146,7 +143,6 @@ class Pipeline:
             self.question = q
         self.cfg = cfg
         self.reinit_mode = reinit_mode
-        self.pe_table = pe_table
         self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims)
         self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
         self.n_tokens = n_tokens
@@ -238,14 +234,14 @@ class Pipeline:
         """
         if len(self.short):
             raise NotFlushed(f"{len(self.short)} frames still buffered; flush first")
-        return VideoRepresentation(items=self._long_items(), mode="global")
+        return VideoRepresentation(frames=self.long.entries, mode="global")
 
     def assemble_breakpoint(self, t: int) -> VideoRepresentation:
         """Live representation at frame t: long entries, short frames, then x_t.
 
-        t must name the most recently pushed frame; the current frame
-        appears both as the last short-term element and in the dedicated
-        current slot, by construction.
+        t must name the most recently pushed frame, which appears both as the
+        last short-term frame and in the current slot. Buffered context seeds
+        are left out: they copy long-term entries already listed.
         """
         if self.frames_pushed == 0 or t != self.frames_pushed - 1:
             raise StaleTimestamp(
@@ -254,15 +250,9 @@ class Pipeline:
         if not len(self.short):
             raise StaleTimestamp("no live frame buffered (stream already flushed)")
         current = self.short.frames[-1]
-        items = self._long_items()
-        items += tuple((f, None) for f in self.short.frames)
-        items += ((current, None),)
-        return VideoRepresentation(items=items, mode="breakpoint", breakpoint_index=t)
-
-    def _long_items(self):
-        if self.pe_table is not None:
-            return tuple(assign_positions(self.long, self.pe_table))
-        return tuple((e, None) for e in self.long.entries)
+        live = tuple(f for f in self.short.frames if not f.context_flag)
+        return VideoRepresentation(frames=self.long.entries + live + (current,),
+                                   mode="breakpoint", breakpoint_index=t)
 
     # -- accounting ------------------------------------------------------
 

@@ -20,7 +20,7 @@ from contextlib import closing
 
 import numpy as np
 
-from .consolidation import ConsolidationConfig
+from .consolidation import ConsolidationConfig, _check_keys
 from .errors import InvalidSpec, IoFailure, ShapeMismatch
 from .frames import WeightedFrame
 from .pipeline import COUNTERS, Pipeline
@@ -188,9 +188,23 @@ def import_pipeline(json_path: str) -> Pipeline:
                              for meta, tokens in zip(short_meta, matrices)])
     pipe.short._next_source_index = _field(short, "next_source_index", int, "snapshot short")
     counters = _field(doc, "counters", dict)
-    unknown = sorted(set(counters) - set(COUNTERS))
-    if unknown:
-        raise InvalidSpec(f"snapshot counters has unknown keys {unknown}")
+    _check_keys(counters, COUNTERS, {}, "snapshot counters")
     for name in COUNTERS:
         setattr(pipe, name, _field(counters, name, int, "snapshot counters"))
+    # the engine keeps these on every path; a snapshot that breaks one would
+    # resume by handing out source indices or position ids a second time
+    sources, next_id = pipe.short.next_source_index, pipe.long.next_position_id
+    negative = [name for name, value in pipe.counters().items() if value < 0]
+    if negative:
+        raise InvalidSpec(f"snapshot counters {negative} are negative")
+    if sources != pipe.frames_pushed:
+        raise InvalidSpec(f"snapshot short.next_source_index {sources} "
+                          f"!= counters.frames_pushed {pipe.frames_pushed}")
+    if next_id != pipe.consolidation_output_total:
+        raise InvalidSpec(f"snapshot long.next_position_id {next_id} != counters."
+                          f"consolidation_output_total {pipe.consolidation_output_total}")
+    if max(pipe.long.position_ids, default=-1) >= next_id:
+        raise InvalidSpec(f"snapshot long.next_position_id {next_id} is not past the last id")
+    if any(stop > sources for f in pipe.short.frames for _, stop, _ in f.provenance):
+        raise InvalidSpec(f"snapshot short.frames reach past short.next_source_index {sources}")
     return pipe

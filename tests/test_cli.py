@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from mces import (
     read_stream,
     write_stream,
 )
-from mces import harness
+from mces import cli, harness
 from mces.cli import main
 
 
@@ -426,15 +427,62 @@ class TestChecksBeforeAnyRow:
         assert rows == []
         assert not (tmp_path / "out").exists()
 
-    def test_integral_sample_count_is_stored_as_int(self, tmp_path):
-        rows = []
-        for count in (16.0, 16):
-            cpath = write_config(tmp_path, sample_count=count, policies=["no_memory"])
+    def test_retired_keys_load_only_at_their_value(self, tmp_path, capsys):
+        # every run keeps 16 no_memory frames, decays ema by 0.5 and caps a
+        # grid at 1024 rows; a config may name these values and no other
+        shas = []
+        for retired in ({}, {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}):
+            cpath = write_config(tmp_path, policies=["no_memory", "ema"], **retired)
             assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
             doc = json.loads((tmp_path / "out" / "report.json").read_text())
-            assert doc["spec_echo"]["sample_count"] == 16
-            rows.append(doc["canonical_sha256"])
-        assert rows[0] == rows[1]
+            assert not set(retired) & set(doc["spec_echo"])
+            assert doc["rows"][0]["counters"]["retained_frames"] == 16
+            shas.append(doc["canonical_sha256"])
+        assert shas[0] == shas[1]
+        for key, value in (("sample_count", 8), ("sample_count", 16.0),
+                           ("ema_decay", 0.9), ("max_grid_points", 10)):
+            cpath = write_config(tmp_path, **{key: value})
+            assert main(["run", "--config", cpath, "--out", str(tmp_path / "bad")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and repr(key) in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_misspelled_keys_exit_2(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        monkeypatch.setattr(harness, "_run_single", lambda *args: rows.append(args))
+        stream = gen(tmp_path)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"polices": ["ema"], "sedes": [1, 2], "reinit": "none",
+                                     "cfg": {"base_target": 4, "alpha": 0.25}}))
+        assert main(["run", "--stream", stream, "--config", str(cpath),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "['polices', 'sedes']" in err
+        assert rows == []
+        assert not (tmp_path / "out").exists()
+        # gen reads only "synthetic" from a config it may share with run
+        assert main(["gen", "--config", write_config(tmp_path, polices=["ema"]),
+                     "--out", str(tmp_path / "g.mces")]) == 0
+
+    def test_readme_lists_the_config_keys(self):
+        # the top-level key table in README.md against what _build_spec takes
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| key | holds |") + 2
+        accepted, retired = [], {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, holds = (cell.strip() for cell in line.strip("|").split("|"))
+            key = re.fullmatch(r"`(\w+)`", key).group(1)
+            only = re.match(r"retired: only `([^`]+)`", holds)
+            if only is None:
+                accepted.append(key)
+            else:
+                retired[key] = json.loads(only.group(1))
+        assert sorted(accepted) == sorted(cli._CONFIG_KEYS)
+        assert {k: (type(v), v) for k, v in retired.items()} == {
+            k: (type(v), v) for k, v in harness._RETIRED.items()}
 
     @pytest.mark.parametrize("extra", [
         ("--policies", "ema"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -31,10 +32,13 @@ from mces import (
     write_stream,
 )
 from mces.cli import build_parser, main as cli_main
+from mces.consolidation import _check_keys
 from mces.harness import (
     BASELINES,
     PARAM_ALIASES,
     PARAMS,
+    _RETIRED,
+    _grid,
     _run_pipeline,
     _stream_for,
     apply_params,
@@ -82,9 +86,9 @@ class TestExperimentSpec:
             ExperimentSpec(synthetic=tiny_synth(), sweep=(("k", ()),))
 
     @pytest.mark.parametrize("field, value", [
-        ("seeds", ("a",)), ("sample_count", "16"), ("ema_decay", "x"),
+        ("seeds", ("a",)), ("ltm_capacity", 0), ("ltm_capacity", 2.5),
         ("question", (float("nan"), 1.0)), ("question", (float("inf"), 1.0)),
-        ("ltm_capacity", 0), ("ltm_capacity", 2.5), ("reinit_mode", "merged"),
+        ("reinit_mode", "merged"),
         ("reinit_mode", "last_k"), ("reinit_mode", "uniform_sample"),
     ])
     def test_field_validation(self, field, value):
@@ -96,8 +100,11 @@ class TestExperimentSpec:
         ("ema_decay", 1.0), ("ema_decay", -0.1), ("ema_decay", float("nan")),
     ])
     def test_range_checked_when_built(self, field, value):
+        # retired from the spec: a config that builds one may hold only the
+        # value every run uses
         with pytest.raises(InvalidSpec, match=field):
-            ExperimentSpec(synthetic=tiny_synth(), **{field: value})
+            _check_keys({field: value}, (), _RETIRED)
+        assert not hasattr(ExperimentSpec(synthetic=tiny_synth()), field)
 
     def test_to_dict_echoes_everything(self):
         spec = ExperimentSpec(synthetic=planted_synth(), seeds=(0, 1),
@@ -257,9 +264,8 @@ class TestFileSource:
     @pytest.mark.parametrize("policy", sorted(BASELINES))
     def test_baselines_see_the_payload(self, stream, policy):
         path, frames = stream
-        spec = ExperimentSpec(stream_file=path, sample_count=8)
-        source, _, _ = _stream_for(spec, 0)
-        got, want = BASELINES[policy](spec, source), BASELINES[policy](spec, frames)
+        source, _, _ = _stream_for(ExperimentSpec(stream_file=path), 0)
+        got, want = BASELINES[policy](source), BASELINES[policy](frames)
         assert [f.provenance for f in got] == [f.provenance for f in want]
         assert all(np.array_equal(g.tokens, w.tokens) for g, w in zip(got, want))
 
@@ -308,15 +314,16 @@ class TestSweep:
         assert len(report["rows"]) == 1
 
     def test_grid_cap(self):
-        spec = ExperimentSpec(synthetic=tiny_synth(), max_grid_points=3,
-                              sweep=(("k", (4, 8, 16, 32)),))
-        with pytest.raises(GridTooLarge):
+        spec = ExperimentSpec(synthetic=tiny_synth(), seeds=tuple(range(1025)),
+                              sweep=(("k", (4, 8)),))
+        with pytest.raises(GridTooLarge, match="2050 rows exceed the cap of 1024"):
             run(spec)
+        assert len(_grid(dataclasses.replace(spec, seeds=tuple(range(512))))) == 2
 
     def test_grid_cap_counts_rows_before_listing_points(self):
         # 10^9 points: listing them first would take minutes and gigabytes
         axis = tuple(range(1, 1001))
-        spec = ExperimentSpec(synthetic=tiny_synth(), max_grid_points=10,
+        spec = ExperimentSpec(synthetic=tiny_synth(),
                               sweep=(("k", axis), ("m0", axis), ("ltm_cap", axis)))
         t0 = time.perf_counter()
         with pytest.raises(GridTooLarge, match="1000000000 rows"):

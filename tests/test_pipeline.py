@@ -13,6 +13,7 @@ from mces import (
     SyntheticSpec,
     StaleTimestamp,
     ZeroNorm,
+    assign_positions,
     export_pipeline,
     extended_position,
     generate_synthetic,
@@ -260,7 +261,7 @@ class TestFailedConsolidationKeepsState:
             assert exported(pipe, tmp_path / "before.json") == before
             assert (pipe.frames_pushed, pipe.consolidations_run) == (16, 0)
             view = pipe.assemble_breakpoint(15)
-            assert view.items[-1][0].provenance == ((15, 16, 1),)
+            assert view.frames[-1].provenance == ((15, 16, 1),)
         report = pipe.step(rng.standard_normal((2, 4)))
         assert report is not None and report.input_count == 16
         assert (pipe.frames_pushed, pipe.consolidations_run) == (17, 1)
@@ -334,7 +335,7 @@ class TestAssembly:
         rep = pipe.assemble_global()
         assert rep.mode == "global"
         assert len(rep) == len(pipe.long)
-        assert rep.frames() == pipe.long.entries
+        assert rep.frames == pipe.long.entries
 
     def test_empty_pipeline_assembles_empty(self):
         rep = Pipeline(2, 4).assemble_global()
@@ -342,18 +343,16 @@ class TestAssembly:
         assert rep.token_count() == 0
 
     def test_positions_attached_in_rank_order(self, rng):
+        # the global frames, each paired with its rank's extended position
         table = PositionalTable.gaussian(8, 6, seed=2)
-        pipe = Pipeline(2, 4, reinit_mode="none", pe_table=table)
+        pipe = Pipeline(2, 4, reinit_mode="none")
         pipe.run_stream([rng.standard_normal((2, 4)) for _ in range(40)])
         rep = pipe.assemble_global()
-        assert len(rep) > 0
-        for rank, (entry, pos) in enumerate(rep.items):
-            assert np.array_equal(pos, extended_position(table, rank))
-
-    def test_positions_none_without_table(self, rng):
-        pipe = Pipeline(2, 4, reinit_mode="none")
-        pipe.run_stream([rng.standard_normal((2, 4)) for _ in range(20)])
-        assert all(pos is None for _, pos in pipe.assemble_global().items)
+        pairs = assign_positions(pipe.long, table)
+        assert len(pairs) == len(rep) > 0
+        for rank, ((entry, pos), frame) in enumerate(zip(pairs, rep.frames)):
+            assert entry is frame
+            assert pos.tobytes() == extended_position(table, rank).tobytes()
 
     def test_breakpoint_names_live_frame(self, rng):
         pipe = Pipeline(2, 4)
@@ -362,10 +361,24 @@ class TestAssembly:
         rep = pipe.assemble_breakpoint(19)
         assert rep.mode == "breakpoint"
         assert rep.breakpoint_index == 19
-        assert len(rep) == len(pipe.long) + len(pipe.short) + 1
+        live = [f for f in pipe.short.frames if not f.context_flag]
+        assert len(live) < len(pipe.short)
+        assert rep.frames == pipe.long.entries + tuple(live) + (live[-1],)
         # current frame is the last buffered frame, present twice
-        assert rep.items[-1][0] is pipe.short.frames[-1]
-        assert rep.items[-2][0] is pipe.short.frames[-1]
+        assert rep.frames[-1] is pipe.short.frames[-1]
+        assert rep.frames[-2] is pipe.short.frames[-1]
+
+    def test_breakpoint_lists_each_entry_once(self):
+        # the irrelevant fill at frame 16 banks one entry and seeds a copy of it
+        pipe = Pipeline(2, 4, question=Q4)
+        for i in range(17):
+            pipe.step(orthogonal_frame(None) * (i + 1))
+        assert len(pipe.long) == 1 and pipe.short.frames[0].context_flag
+        rep = pipe.assemble_breakpoint(16)
+        assert rep.frames == (pipe.long.entries[0], pipe.short.frames[1],
+                              pipe.short.frames[1])
+        tokens = [id(f.tokens) for f in rep.frames[:-1]]
+        assert len(set(tokens)) == len(tokens)
 
     def test_breakpoint_rejects_stale_or_future(self, rng):
         pipe = Pipeline(2, 4)

@@ -160,6 +160,21 @@ class TestImport:
             assert fa.provenance == fb.provenance
             assert np.allclose(fa.tokens, fb.tokens, atol=1e-5)
 
+    @pytest.mark.parametrize("reinit_mode", ["merged_tokens", "none"])
+    def test_every_step_of_a_run_re_imports(self, tmp_path, rng, reinit_mode):
+        # the bookkeeping import checks holds after any step, a refused frame
+        # and a compacting long-term store included
+        pipe = Pipeline(2, 4, question=Q, ltm_capacity=3, reinit_mode=reinit_mode)
+        for i in range(50):
+            if i == 20:
+                with pytest.raises(ShapeMismatch):
+                    pipe.step(np.ones((2, 5)))
+            pipe.step(rng.standard_normal((2, 4)))
+            assert_same_state(import_pipeline(
+                export_pipeline(pipe, str(tmp_path / "s.json"))[0]), pipe, tokens_exact=False)
+        pipe.flush()
+        import_pipeline(export_pipeline(pipe, str(tmp_path / "s.json"))[0])
+
     def test_wrong_kind_rejected(self, tmp_path):
         (tmp_path / "ltm.json").write_text(json.dumps(
             {"kind": "long_term_snapshot", "snapshot_version": 1, "capacity": 8,
@@ -396,6 +411,31 @@ class TestFormatOneFixture:
         with pytest.raises(InvalidSpec, match="reinit_mode"):
             import_pipeline(path)
         assert opened == []
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"counters": {"seeded_weight_total": -1}}, r"\['seeded_weight_total'\] are negative"),
+        ({"counters": {"frames_pushed": -5}, "short": {"next_source_index": 3}},
+         r"\['frames_pushed'\] are negative"),
+        ({"short": {"next_source_index": 36}}, "next_source_index 36 != counters.frames_pushed 37"),
+        ({"counters": {"frames_pushed": 38}}, "next_source_index 37 != counters.frames_pushed 38"),
+        ({"long": {"next_position_id": 3}}, "next_position_id 3 != counters.consolidation_output"),
+        ({"long": {"next_position_id": 1}, "counters": {"consolidation_output_total": 1}},
+         "next_position_id 1 is not past the last id"),
+    ], ids=["negative_counter", "negative_frames_pushed", "source_index_behind",
+            "source_index_ahead", "position_id_ahead", "position_id_not_past_last"])
+    def test_broken_bookkeeping_refused(self, tmp_path, edit, match):
+        # the fixture keeps frames_pushed = next_source_index = 37 and
+        # consolidation_output_total = next_position_id = 2
+        path = self.edited_copy(
+            tmp_path, lambda doc: [doc[part].update(values) for part, values in edit.items()])
+        with pytest.raises(InvalidSpec, match=match):
+            import_pipeline(path)
+
+    def test_buffered_provenance_past_the_source_index_refused(self, tmp_path):
+        def edit(doc):
+            doc["short"]["frames"][-1]["provenance"] = [[37, 38, 1]]
+        with pytest.raises(InvalidSpec, match="reach past short.next_source_index 37"):
+            import_pipeline(self.edited_copy(tmp_path, edit))
 
     def test_over_capacity_short_term_refused_before_the_sidecar(self, tmp_path, opened):
         # the fixture buffers 7 frames; a 6-frame buffer cannot hold them
