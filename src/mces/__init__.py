@@ -69,7 +69,6 @@ from .consolidation import (
     ConsolidationReport,
     greedy_merge,
     relevance_score,
-    target_count,
 )
 from .baselines import (
     POLICY_IDS,

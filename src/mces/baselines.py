@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EmptyInput, InvalidLambda, InvalidSpec
-from .frames import NORM_FLOOR, WeightedFrame, unit_interval
+from .frames import WeightedFrame, _first_below_floor, _row_norms, unit_interval
 
 __all__ = [
     "POLICY_IDS",
@@ -117,8 +117,7 @@ def ema(frames, decay: float = 0.5) -> WeightedFrame:
 
 
 def _warn_if_degenerate(tokens: np.ndarray, what: str) -> None:
-    norms = np.sqrt(np.sum(tokens * tokens, axis=1))
-    if (norms < NORM_FLOOR).any():
+    if _first_below_floor(_row_norms(tokens)) >= 0:
         warnings.warn(f"{what} has a near-zero token row", DegenerateFrameWarning,
                       stacklevel=3)
 

@@ -36,7 +36,7 @@ from .harness import (
     run,
     write_report,
 )
-from .snapshot import export_pipeline, read_json
+from .snapshot import _field, export_pipeline, import_pipeline, read_json
 from .streamio import SyntheticSpec, iter_stream, iter_synthetic, write_stream
 # unused here; kept only so bench/spans.py can wrap cli.read_stream
 from .streamio import read_stream  # noqa: F401
@@ -219,25 +219,21 @@ def _cmd_inspect(args) -> int:
               f"max {norms.max():.4f}")
         return 0
     if args.snapshot:
-        doc = read_json(args.snapshot)
-        with _reading(f"snapshot {args.snapshot!r}"):
-            print(f"snapshot {args.snapshot} kind {doc.get('kind')}")
-            entries = doc.get("long", doc).get("entries", [])
-            print(f"  long-term entries {len(entries)}")
-            for meta in entries[: args.limit]:
-                print(f"    id {meta.get('position_id')} weight {meta['weight']} "
-                      f"context {meta['context_flag']} provenance {meta['provenance']}")
-            short = doc.get("short", {}).get("frames", [])
-            if short:
-                print(f"  short-term frames {len(short)}")
-            counters = doc.get("counters")
-            if counters:
-                print(f"  counters {json.dumps(counters, sort_keys=True)}")
+        # the one snapshot reader: anything it cannot resume is refused
+        pipe = import_pipeline(args.snapshot)
+        print(f"snapshot {args.snapshot} kind pipeline_snapshot")
+        print(f"  long-term entries {len(pipe.long)}")
+        for pid, entry in zip(pipe.long.position_ids[: args.limit], pipe.long.entries):
+            print(f"    id {pid} weight {entry.weight} context {entry.context_flag} "
+                  f"provenance {[list(iv) for iv in entry.provenance]}")
+        if len(pipe.short):
+            print(f"  short-term frames {len(pipe.short)}")
+        print(f"  counters {json.dumps(pipe.counters(), sort_keys=True)}")
         return 0
     if args.report:
         doc = read_json(args.report)
+        rows = _field(doc, "rows", list, f"report {args.report!r}")
         with _reading(f"report {args.report!r}"):
-            rows = doc.get("rows", [])
             print(f"report {args.report} rows {len(rows)} "
                   f"canonical {doc.get('canonical_sha256', '')[:16]}")
             for row in rows[: args.limit]:

@@ -38,7 +38,6 @@ __all__ = [
     "ConsolidationConfig",
     "ConsolidationReport",
     "relevance_score",
-    "target_count",
     "greedy_merge",
 ]
 
@@ -170,16 +169,6 @@ def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
             raise DimensionMismatch(f"vector shapes differ: {d.shape} vs {q.shape}")
         scores.append(_cosine(d, _norm(d), q, nq))
     return float(np.mean(scores))
-
-
-def target_count(score: float, cfg: ConsolidationConfig) -> int:
-    """Slot budget for a window with the given relevance score.
-
-    The threshold is strict: score == sigma takes the reduced branch.
-    """
-    if score > cfg.sigma:
-        return cfg.base_target
-    return cfg.weak_target()
 
 
 def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):

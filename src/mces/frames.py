@@ -21,7 +21,9 @@ builds it without the copy and re-validation, computes its row norms at once
 and scans its tokens for non-finite values only when a norm is not finite.
 A pushed frame (``from_tokens``) is validated once by ``as_token_matrix`` and
 takes its unit provenance as known. ``as_context`` shares the tokens and
-norms.
+norms. ``frame_pair_similarity`` has only this frame path: a bare matrix
+given to it is wrapped with ``from_tokens`` first, so it is validated as a
+frame and a non-finite value or an empty axis is refused.
 
 The kernels on the consolidation path call numpy's ufuncs directly
 (``np.add.reduce`` for sums and means, ``x.dot(x)`` under a square root for a
@@ -88,11 +90,6 @@ def as_token_matrix(x) -> np.ndarray:
 def _row_norms(tokens: np.ndarray) -> np.ndarray:
     """Euclidean norm of each token row, reduced along the contiguous axis."""
     return np.sqrt(np.add.reduce(tokens * tokens, axis=1))
-
-
-def _norms_of(frame, tokens: np.ndarray) -> np.ndarray:
-    # a WeightedFrame's cached row norms, or those of a bare matrix
-    return frame.norms if isinstance(frame, WeightedFrame) else _row_norms(tokens)
 
 
 def _first_below_floor(norms: np.ndarray) -> int:
@@ -256,11 +253,6 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     return min(max(float(a.dot(b) / (na * nb)), -1.0), 1.0)
 
 
-def _tokens_of(frame) -> np.ndarray:
-    tokens = getattr(frame, "tokens", frame)
-    return np.asarray(tokens, dtype=np.float64)
-
-
 def frame_descriptor(frame) -> np.ndarray:
     """Unit-norm mean of a frame's token rows.
 
@@ -268,7 +260,7 @@ def frame_descriptor(frame) -> np.ndarray:
     token mean is degenerate (norm below NORM_FLOOR), which happens when
     tokens cancel.
     """
-    tokens = _tokens_of(frame)
+    tokens = np.asarray(getattr(frame, "tokens", frame), dtype=np.float64)
     if tokens.ndim != 2:
         raise DimensionMismatch(f"expected an (N, D) matrix, got shape {tokens.shape}")
     # bitwise tokens.mean(axis=0)
@@ -283,29 +275,23 @@ def frame_pair_similarity(a, b) -> float:
     """Mean cosine over aligned token rows of two frames.
 
     Token j of the first frame is compared with token j of the second; the N
-    cosines are averaged in float64. Both frames must share (N, D). A
-    near-zero token row raises ZeroNorm carrying the offending row index.
+    cosines are averaged in float64. Both frames must share (N, D). A bare
+    matrix is validated as a frame first (:meth:`WeightedFrame.from_tokens`).
+    A near-zero token row raises ZeroNorm carrying the offending row index.
     """
-    if type(a) is WeightedFrame and type(b) is WeightedFrame:
-        ta, tb = a.tokens, b.tokens
-        if ta.shape != tb.shape:
-            raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
-        bad = ((a._bad_row, "first"), (b._bad_row, "second"))
-        na, nb = a.norms, b.norms
-    else:
-        ta, tb = _tokens_of(a), _tokens_of(b)
-        if ta.shape != tb.shape:
-            raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
-        if ta.ndim != 2:
-            raise DimensionMismatch(f"expected (N, D) matrices, got shape {ta.shape}")
-        na, nb = _norms_of(a, ta), _norms_of(b, tb)
-        bad = [(_first_below_floor(na), "first"), (_first_below_floor(nb), "second")]
-    for j, which in bad:
+    if type(a) is not WeightedFrame:
+        a = WeightedFrame.from_tokens(a, 0)
+    if type(b) is not WeightedFrame:
+        b = WeightedFrame.from_tokens(b, 0)
+    ta, tb = a.tokens, b.tokens
+    if ta.shape != tb.shape:
+        raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
+    for j, which in ((a._bad_row, "first"), (b._bad_row, "second")):
         if j >= 0:
             raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
     # the ufuncs behind np.sum, np.clip and ndarray.mean, called directly
     cos = np.add.reduce(np.multiply(ta, tb), axis=1)
-    np.divide(cos, np.multiply(na, nb), out=cos)
+    np.divide(cos, np.multiply(a.norms, b.norms), out=cos)
     np.clip(cos, -1.0, 1.0, out=cos)
     return float(np.add.reduce(cos) / cos.shape[0])
 

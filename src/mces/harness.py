@@ -370,6 +370,10 @@ def plant_eval(spec: ExperimentSpec, min_wins: int | None = None) -> dict:
     """
     if spec.synthetic is None:
         raise InvalidSpec("plant_eval needs a synthetic stream with known segments")
+    if min_wins is None:
+        min_wins = math.ceil(0.9 * len(spec.seeds))
+    if min_wins < 1:
+        raise InvalidSpec(f"min_wins must be >= 1, got {min_wins}")
     segments = spec.synthetic.segments
     applicable = bool(segments)
     if applicable:
@@ -401,8 +405,6 @@ def plant_eval(spec: ExperimentSpec, min_wins: int | None = None) -> dict:
             "win": win,
             "wall_time_s": wall,
         })
-    if min_wins is None:
-        min_wins = math.ceil(0.9 * len(spec.seeds))
     summary = {
         "applicable": applicable,
         "seeds": len(spec.seeds),
@@ -423,6 +425,8 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
     """
     if spec.synthetic is None:
         raise InvalidSpec("bench_mem needs a synthetic stream template")
+    if not t_list:
+        raise InvalidSpec("bench_mem needs at least one stream length")
     rows = []
     for t in t_list:
         sspec = replace(spec.synthetic, frame_count=int(t))

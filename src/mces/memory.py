@@ -6,8 +6,9 @@ frame that triggered the overflow. Context seeds put in front of that frame
 by ``seed`` count against capacity, so the next fill completes after
 capacity - len(seeds) fresh pushes.
 
-The long-term store appends consolidated frames with strictly increasing
-position ids and, whenever it outgrows its cap, greedily merges the most
+The long-term store is built with the frame shape, like the buffer. It
+appends consolidated frames of that shape only, with strictly increasing
+position ids, and whenever it outgrows its cap it greedily merges the most
 similar adjacent pair until it fits. It runs the very merge loop that
 consolidates a fill. Weight is conserved; nothing is dropped.
 
@@ -142,7 +143,7 @@ class LongTermMemory:
     the two neighboring pairs.
     """
 
-    def __init__(self, capacity: int, n_tokens: int | None = None, dims: int | None = None):
+    def __init__(self, capacity: int, n_tokens: int, dims: int):
         if capacity < 1:
             raise InvalidSpec(f"long-term capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -171,17 +172,12 @@ class LongTermMemory:
     def total_weight(self) -> int:
         return sum(e.weight for e in self._entries)
 
-    def _check_entry(self, frame: WeightedFrame) -> None:
-        if self.n_tokens is None:
-            self.n_tokens, self.dims = frame.tokens.shape
-        elif frame.tokens.shape != (self.n_tokens, self.dims):
+    def _push_entry(self, frame: WeightedFrame) -> None:
+        # append one entry and the similarity to its left neighbor
+        if frame.tokens.shape != (self.n_tokens, self.dims):
             raise ShapeMismatch(
                 f"entry shape {frame.tokens.shape} != configured "
                 f"({self.n_tokens}, {self.dims})")
-
-    def _push_entry(self, frame: WeightedFrame) -> None:
-        # append one entry and the similarity to its left neighbor
-        self._check_entry(frame)
         if self._entries:
             self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
         self._entries.append(frame)

@@ -9,6 +9,11 @@ budget. Both go through :func:`consolidate`, the one gate from a window to
 its merged frames. Assembly hands frames downstream without positions;
 :func:`mces.memory.assign_positions` pairs the store with extended ones.
 
+Each fact has one owner. Both stores are built with the frame shape, and
+the pipeline reads it from its buffer. ``frames_pushed`` and
+``consolidation_output_total`` are read-only views of the buffer's next
+source index and the store's next position id.
+
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
 cost is raw scaled by the observed output/input frame ratio of completed
@@ -29,7 +34,6 @@ from .consolidation import (
     ConsolidationReport,
     greedy_merge,
     relevance_score,
-    target_count,
 )
 from .errors import (
     EmptyInput,
@@ -78,19 +82,19 @@ def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationCon
     if not frames:
         raise EmptyInput("consolidate over an empty window")
     if question is None:
-        score = None
+        score = relevant = None
         target = cfg.base_target
     else:
         score = relevance_score(frames, question)
-        target = target_count(score, cfg)
+        # the threshold is strict: score == sigma takes the reduced budget
+        relevant = score > cfg.sigma
+        target = cfg.base_target if relevant else cfg.weak_target()
     if _residue:
         # ceil(target * len / capacity) in exact integer arithmetic
         scaled = -(-target * len(frames) // cfg.capacity)
         target = min(max(scaled, 1), len(frames))
     out, report = greedy_merge(frames, target)
-    report = replace(report, relevance=score,
-                     relevant=None if score is None else score > cfg.sigma)
-    return out, report
+    return out, replace(report, relevance=score, relevant=relevant)
 
 
 @dataclass(frozen=True)
@@ -145,12 +149,8 @@ class Pipeline:
         self.reinit_mode = reinit_mode
         self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims)
         self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
-        self.n_tokens = n_tokens
-        self.dims = dims
-        self.frames_pushed = 0
         self.consolidations_run = 0
         self.consolidation_input_total = 0
-        self.consolidation_output_total = 0
         self.seeded_weight_total = 0
         self.peak_resident_frames = 0
 
@@ -175,7 +175,6 @@ class Pipeline:
             if self.reinit_mode == "merged_tokens":
                 self.short.seed(out)
                 self.seeded_weight_total += sum(f.weight for f in out)
-        self.frames_pushed += 1
         self._note_resident()
         return report
 
@@ -212,8 +211,17 @@ class Pipeline:
         self.long.append(out)
         self.consolidations_run += 1
         self.consolidation_input_total += len(window)
-        self.consolidation_output_total += len(out)
         self.peak_resident_frames = max(self.peak_resident_frames, resident)
+
+    @property
+    def frames_pushed(self) -> int:
+        """Frames accepted so far: the buffer's next source index."""
+        return self.short.next_source_index
+
+    @property
+    def consolidation_output_total(self) -> int:
+        """Frames banked so far: the store's next position id."""
+        return self.long.next_position_id
 
     def counters(self) -> dict[str, int]:
         """The COUNTERS attributes by name, in order."""
@@ -258,7 +266,7 @@ class Pipeline:
 
     def bytes_model(self) -> AccountingRecord:
         """Accounting model over counters; see the module docstring."""
-        raw = self.n_tokens * self.dims * BYTES_PER_VALUE
+        raw = self.short.n_tokens * self.short.dims * BYTES_PER_VALUE
         if self.consolidation_input_total > 0:
             ratio = self.consolidation_output_total / self.consolidation_input_total
             amortized = raw * ratio
@@ -266,7 +274,7 @@ class Pipeline:
             amortized = float(raw)
         peak = (self.cfg.capacity + self.long.capacity) * raw
         if self.question is not None:
-            peak += self.dims * BYTES_PER_VALUE
+            peak += self.short.dims * BYTES_PER_VALUE
         return AccountingRecord(
             raw_bytes_per_frame=raw,
             amortized_bytes_per_frame=amortized,

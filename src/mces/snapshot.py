@@ -63,8 +63,8 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
         "kind": "pipeline_snapshot",
         "snapshot_version": SNAPSHOT_VERSION,
         "config": pipe.cfg.to_dict(),
-        "n_tokens": pipe.n_tokens,
-        "dims": pipe.dims,
+        "n_tokens": pipe.short.n_tokens,
+        "dims": pipe.short.dims,
         "ltm_capacity": pipe.long.capacity,
         "reinit_mode": pipe.reinit_mode,
         "question": None if pipe.question is None else [float(v) for v in pipe.question],
@@ -189,20 +189,22 @@ def import_pipeline(json_path: str) -> Pipeline:
     pipe.short._next_source_index = _field(short, "next_source_index", int, "snapshot short")
     counters = _field(doc, "counters", dict)
     _check_keys(counters, COUNTERS, {}, "snapshot counters")
-    for name in COUNTERS:
-        setattr(pipe, name, _field(counters, name, int, "snapshot counters"))
+    counters = {name: _field(counters, name, int, "snapshot counters") for name in COUNTERS}
     # the engine keeps these on every path; a snapshot that breaks one would
     # resume by handing out source indices or position ids a second time
     sources, next_id = pipe.short.next_source_index, pipe.long.next_position_id
-    negative = [name for name, value in pipe.counters().items() if value < 0]
+    negative = [name for name, value in counters.items() if value < 0]
     if negative:
         raise InvalidSpec(f"snapshot counters {negative} are negative")
-    if sources != pipe.frames_pushed:
+    if sources != counters["frames_pushed"]:
         raise InvalidSpec(f"snapshot short.next_source_index {sources} "
-                          f"!= counters.frames_pushed {pipe.frames_pushed}")
-    if next_id != pipe.consolidation_output_total:
+                          f"!= counters.frames_pushed {counters['frames_pushed']}")
+    if next_id != counters["consolidation_output_total"]:
         raise InvalidSpec(f"snapshot long.next_position_id {next_id} != counters."
-                          f"consolidation_output_total {pipe.consolidation_output_total}")
+                          f"consolidation_output_total {counters['consolidation_output_total']}")
+    # the two checked above are views of the stores; the rest are the pipeline's own
+    for name in set(COUNTERS) - {"frames_pushed", "consolidation_output_total"}:
+        setattr(pipe, name, counters[name])
     if max(pipe.long.position_ids, default=-1) >= next_id:
         raise InvalidSpec(f"snapshot long.next_position_id {next_id} is not past the last id")
     if any(stop > sources for f in pipe.short.frames for _, stop, _ in f.provenance):

@@ -517,6 +517,11 @@ def _malformed(tmp_path, case):
         return ["run", "--config", write_config(tmp_path), "--seeds", "a"]
     if case == "t_list":
         return ["bench-mem", "--config", write_config(tmp_path), "--t-list", "8,x"]
+    if case == "t_list_empty":
+        return ["bench-mem", "--config", write_config(tmp_path), "--t-list", ",", "--assert"]
+    if case == "min_wins_below_one":
+        return ["plant-eval", "--config", plant_config(tmp_path), "--seeds", "0,1",
+                "--min-wins", "-5", "--assert"]
     if case == "gen_segments":
         return ["gen", "--t", "8", "--n", "1", "--d", "4", "--segments", "a:2:0.5",
                 "--out", str(tmp_path / "x.mces")]
@@ -529,15 +534,23 @@ def _malformed(tmp_path, case):
         doc.write_text(json.dumps({"kind": "pipeline_snapshot", "long": {"entries": [
             {"position_id": 0, "context_flag": False, "provenance": [[0, 1, 1]]}]}}))
         return ["inspect", "--snapshot", str(doc)]
+    if case == "report_without_rows":
+        return ["inspect", "--report", plant_config(tmp_path)]
+    if case == "snapshot_given_a_config":
+        return ["inspect", "--snapshot", plant_config(tmp_path)]
     doc.write_text(json.dumps({"rows": [
         {"policy": "ema", "relevance": {"applicable": True}}]}))
+    if case == "snapshot_given_a_report":
+        return ["inspect", "--snapshot", str(doc)]
     return ["inspect", "--report", str(doc)]
 
 
 @pytest.mark.parametrize("case", [
     "cfg_list", "synthetic_unknown_key", "sweep_scalar", "seeds_string",
-    "ema_decay_string", "seeds_flag", "t_list", "gen_segments", "question_object",
-    "snapshot_entry_without_weight", "report_row_without_rmf",
+    "ema_decay_string", "seeds_flag", "t_list", "t_list_empty", "min_wins_below_one",
+    "gen_segments", "question_object", "snapshot_entry_without_weight",
+    "snapshot_given_a_config", "snapshot_given_a_report", "report_row_without_rmf",
+    "report_without_rows",
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
     argv = _malformed(tmp_path, case)
@@ -619,6 +632,19 @@ class TestInspect:
         rc = main(["inspect", "--snapshot", str(tmp_path / "out" / "snapshot.json")])
         assert rc == 0
         assert "pipeline_snapshot" in capsys.readouterr().out
+
+    def test_snapshot_lines_of_the_v1_fixture(self, capsys):
+        path = str(Path(__file__).parent / "fixtures" / "snapshot_v1.json")
+        assert main(["inspect", "--snapshot", path, "--limit", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"snapshot {path} kind pipeline_snapshot",
+            "  long-term entries 2",
+            "    id 0 weight 16 context False provenance [[0, 16, 1]]",
+            "  short-term frames 7",
+            '  counters {"consolidation_input_total": 32, "consolidation_output_total": 2, '
+            '"consolidations_run": 2, "frames_pushed": 37, "peak_resident_frames": 19, '
+            '"seeded_weight_total": 47}',
+        ]
 
     def test_report_summary(self, tmp_path, capsys):
         stream = gen(tmp_path)

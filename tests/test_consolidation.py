@@ -16,7 +16,6 @@ from mces import (
     consolidate,
     greedy_merge,
     relevance_score,
-    target_count,
     weighted_merge,
 )
 
@@ -148,18 +147,28 @@ class TestRelevanceScore:
 
 
 class TestTargetCount:
-    def test_strictly_above_keeps_base(self):
-        cfg = ConsolidationConfig()
-        assert target_count(0.2500001, cfg) == 4
+    # the strict relevance test is made once, in consolidate
 
-    def test_exactly_sigma_takes_weak_branch(self):
-        cfg = ConsolidationConfig()
-        assert target_count(0.25, cfg) == 1
+    def test_strictly_above_keeps_base(self, rng):
+        frames, q = make_frames(rng, 8, 2, 4), rng.standard_normal(4)
+        score = relevance_score(frames, q)
+        cfg = ConsolidationConfig(sigma=float(np.nextafter(score, -np.inf)))
+        out, report = consolidate(frames, q, cfg)
+        assert report.target == len(out) == 4
+
+    def test_exactly_sigma_takes_weak_branch(self, rng):
+        frames, q = make_frames(rng, 8, 2, 4), rng.standard_normal(4)
+        cfg = ConsolidationConfig(sigma=relevance_score(frames, q))
+        out, report = consolidate(frames, q, cfg)
+        assert report.target == len(out) == 1
 
     def test_below_sigma(self):
         cfg = ConsolidationConfig()
-        assert target_count(-0.9, cfg) == 1
-        assert target_count(0.0, cfg) == 1
+        for direction, score in (((-0.9, np.sqrt(0.19)), -0.9), ((0.0, 1.0), 0.0)):
+            frames = directional_frames(direction, 8, 3)
+            assert abs(relevance_score(frames, [1.0, 0.0]) - score) < 1e-12
+            out, report = consolidate(frames, [1.0, 0.0], cfg)
+            assert report.target == len(out) == 1
 
 
 class TestGreedyMerge:

@@ -1,4 +1,4 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ and the README's quick start run to completion."""
 
 from __future__ import annotations
 
@@ -17,5 +17,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_0(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the first python block of README.md, run as a script
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

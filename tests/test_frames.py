@@ -302,6 +302,18 @@ class TestPairSimilarity:
         with pytest.raises(DimensionMismatch):
             frame_pair_similarity(rng.standard_normal((2, 3)), rng.standard_normal((3, 3)))
 
+    @pytest.mark.parametrize("bad, error", [
+        ([[1.0, np.inf, 0.0]], ValueError),
+        ([[1.0, np.nan, 0.0]], ValueError),
+        (np.zeros((0, 3)), DimensionMismatch),
+    ], ids=["inf", "nan", "empty"])
+    def test_bare_matrix_is_validated_as_a_frame(self, bad, error):
+        bad = np.asarray(bad)
+        good = np.ones(bad.shape)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(error):
+                frame_pair_similarity(*pair)
+
     def test_cached_norms_give_the_bare_array_value(self, rng):
         a, b = make_frames(rng, 2, 16, 300)
         want = frame_pair_similarity(a.tokens, b.tokens)

@@ -355,6 +355,12 @@ class TestPlantEval:
         with pytest.raises(GateFailure):
             check_gate(report)
 
+    @pytest.mark.parametrize("min_wins", [0, -5])
+    def test_min_wins_below_one_refused(self, monkeypatch, min_wins):
+        monkeypatch.setattr("mces.harness._stream_for", None)  # no seed may run
+        with pytest.raises(InvalidSpec, match="min_wins"):
+            plant_eval(self.spec(), min_wins=min_wins)
+
     def test_needs_synthetic(self, tmp_path, rng):
         path = str(tmp_path / "s.mces")
         write_stream(path, rng.standard_normal((4, 1, 2)).astype(np.float32))
@@ -409,6 +415,8 @@ class TestBenchMem:
         spec = ExperimentSpec(synthetic=tiny_synth())
         with pytest.raises(InvalidSpec):
             bench_mem(spec, t_list=(0,))
+        with pytest.raises(InvalidSpec, match="at least one stream length"):
+            bench_mem(spec, t_list=())
 
 
 class TestHeldMemory:

@@ -71,7 +71,7 @@ def test_greedy_merge_is_bitwise_the_naive_loop(shape, max_weight):
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_compaction_is_bitwise_the_naive_loop(shape, max_weight):
     batches = [weighted_frames(seed, 6, shape, max_weight) for seed in (1, 2, 3)]
-    memory, slots, next_id = LongTermMemory(5), [], 0
+    memory, slots, next_id = LongTermMemory(5, *shape), [], 0
     for batch in batches:
         memory.append(batch)
         for frame in batch:

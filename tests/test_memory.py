@@ -191,24 +191,24 @@ def assert_matches_reference(memory, slots):
 
 class TestLongTermMemory:
     def test_append_assigns_increasing_ids(self, rng):
-        mem = LongTermMemory(10)
+        mem = LongTermMemory(10, 2, 4)
         mem.append(make_frames(rng, 3, 2, 4))
         assert mem.position_ids == (0, 1, 2)
         assert mem.next_position_id == 3
 
     def test_capacity_enforced(self, rng):
-        mem = LongTermMemory(4)
+        mem = LongTermMemory(4, 1, 6)
         mem.append(make_frames(rng, 9, 1, 6))
         assert len(mem) == 4
 
     def test_weight_conserved_through_compaction(self, rng):
-        mem = LongTermMemory(3)
+        mem = LongTermMemory(3, 2, 5)
         mem.append(make_frames(rng, 11, 2, 5))
         assert mem.total_weight() == 11
 
     def test_matches_reference_single_batch(self, rng):
         frames = make_frames(rng, 12, 2, 6)
-        mem = LongTermMemory(5)
+        mem = LongTermMemory(5, 2, 6)
         mem.append(frames)
         assert_matches_reference(mem, replay_appends([frames], 5))
 
@@ -217,7 +217,7 @@ class TestLongTermMemory:
         # replay; a fresh similarity cache and the incremental one must agree.
         batches = [make_frames(rng, k, 2, 4, start=s)
                    for k, s in ((4, 0), (7, 4), (1, 11), (6, 12))]
-        mem = LongTermMemory(6)
+        mem = LongTermMemory(6, 2, 4)
         for batch in batches:
             mem.append(batch)
         assert_matches_reference(mem, replay_appends(batches, 6))
@@ -228,14 +228,14 @@ class TestLongTermMemory:
             frames = [WeightedFrame.from_tokens(r.standard_normal((2, 3)), i)
                       for i in range(10)]
             cap = 1 + seed % 7
-            mem = LongTermMemory(cap)
+            mem = LongTermMemory(cap, 2, 3)
             mem.append(frames)
             assert_matches_reference(mem, replay_appends([frames], cap))
 
     def test_tie_merges_lowest_index(self):
         same = np.ones((1, 2))
         frames = [WeightedFrame.from_tokens(same, i) for i in range(4)]
-        mem = LongTermMemory(3)
+        mem = LongTermMemory(3, 1, 2)
         mem.append(frames)
         # all three pair similarities tie at 1; the leftmost pair merges
         assert mem.position_ids == (0, 2, 3)
@@ -245,7 +245,7 @@ class TestLongTermMemory:
         a = WeightedFrame.from_tokens([[1.0, 0.0]], 0)
         b = WeightedFrame.from_tokens([[1.0, 0.001]], 1)
         c = WeightedFrame.from_tokens([[-1.0, 0.5]], 2)
-        mem = LongTermMemory(2)
+        mem = LongTermMemory(2, 1, 2)
         mem.append([a, b, c])
         assert mem.position_ids == (0, 2)
         assert mem.entries[0].weight == 2
@@ -257,7 +257,7 @@ class TestLongTermMemory:
         a, b, c = (WeightedFrame.from_tokens(t, i) for i, t in enumerate((
             [[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]],
             [[-1.0, 0.0], [0.0, -1.0]])))
-        mem = LongTermMemory(2)
+        mem = LongTermMemory(2, 2, 2)
         mem.append([a, b, c][:held])
         state = (mem.entries, mem.position_ids, mem.next_position_id,
                  list(mem._pair_sims), mem.n_tokens)
@@ -269,8 +269,11 @@ class TestLongTermMemory:
         assert len(mem) == len(mem.position_ids) == held + 1
         assert mem.position_ids[-1] == held
 
-    def test_entry_shape_pinned_by_first(self, rng):
-        mem = LongTermMemory(5)
+    def test_entry_shape_pinned_by_the_constructor(self, rng):
+        mem = LongTermMemory(5, 2, 4)
+        with pytest.raises(ShapeMismatch):
+            mem.append(make_frames(rng, 1, 2, 5))
+        assert len(mem) == 0
         mem.append(make_frames(rng, 1, 2, 4))
         with pytest.raises(ShapeMismatch):
             mem.append(make_frames(rng, 1, 2, 5))
@@ -278,9 +281,9 @@ class TestLongTermMemory:
     def test_restore_round_trip_behaves_identically(self, rng):
         frames = make_frames(rng, 9, 1, 4)
         more = make_frames(rng, 5, 1, 4, start=9)
-        original = LongTermMemory(4)
+        original = LongTermMemory(4, 1, 4)
         original.append(frames)
-        copied = LongTermMemory(4)
+        copied = LongTermMemory(4, 1, 4)
         copied._restore(original.entries, original.position_ids,
                         original.next_position_id)
         original.append(more)
@@ -292,7 +295,7 @@ class TestLongTermMemory:
 
     def test_restore_validation(self, rng):
         frames = make_frames(rng, 2, 1, 2)
-        mem = LongTermMemory(4)
+        mem = LongTermMemory(4, 1, 2)
         with pytest.raises(InvalidSpec):
             mem._restore(frames, [0], 2)
         with pytest.raises(InvalidSpec):
@@ -357,7 +360,7 @@ class TestPositionalTable:
 
 class TestAssignPositions:
     def test_rank_order_pairing(self, rng):
-        mem = LongTermMemory(10)
+        mem = LongTermMemory(10, 1, 4)
         mem.append(make_frames(rng, 6, 1, 4))
         table = PositionalTable.gaussian(3, 4, seed=0)
         pairs = assign_positions(mem, table)
@@ -367,7 +370,7 @@ class TestAssignPositions:
             assert np.array_equal(pos, extended_position(table, rank))
 
     def test_memory_longer_than_table(self, rng):
-        mem = LongTermMemory(30)
+        mem = LongTermMemory(30, 1, 4)
         mem.append(make_frames(rng, 5, 1, 4))
         with pytest.raises(MemoryTooLongForTable):
             assign_positions(mem, PositionalTable.gaussian(2, 4))

@@ -267,6 +267,15 @@ class TestFailedConsolidationKeepsState:
         assert (pipe.frames_pushed, pipe.consolidations_run) == (17, 1)
 
 
+class TestCounters:
+    def test_derived_counters_are_read_only(self):
+        pipe = Pipeline(1, 3)
+        for name in ("frames_pushed", "consolidation_output_total"):
+            with pytest.raises(AttributeError):
+                setattr(pipe, name, 5)
+            assert getattr(pipe, name) == 0
+
+
 class TestConservation:
     def test_exact_without_seeding(self, rng):
         pipe = Pipeline(1, 3, reinit_mode="none")
