@@ -180,10 +180,8 @@ def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):
     """
     trace: list[tuple[int, int, float]] = []
     while len(work) > target:
-        best = 0
-        for i in range(1, len(sims)):
-            if sims[i] > sims[best]:
-                best = i
+        # max tests `>` left to right; index finds the first equal: lowest on ties
+        best = sims.index(max(sims))
         trace.append((len(trace), best, sims[best]))
         merged = weighted_merge(work[best], work[best + 1])
         work[best] = merged

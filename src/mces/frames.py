@@ -12,26 +12,26 @@ same source index can legitimately contribute to one frame more than once.
 The invariant ``provenance_mass(p) == weight`` holds for every frame.
 
 Each frame owns its tokens: the public constructor validates them and keeps
-a read-only copy. Token row norms are computed once per frame and cached
-(``WeightedFrame.norms``), and so is the floor check on them: the index of
-the first row whose norm is below NORM_FLOOR. A pair similarity of two frames
-computes only the row dots, and still raises ZeroNorm on every call that
-meets such a row. A merged frame is valid by construction: ``weighted_merge``
-builds it without the copy and re-validation, computes its row norms at once
-and scans its tokens for non-finite values only when a norm is not finite.
-A pushed frame (``from_tokens``) is validated once by ``as_token_matrix`` and
-takes its unit provenance as known. ``as_context`` shares the tokens and
-norms. ``frame_pair_similarity`` has only this frame path: a bare matrix
-given to it is wrapped with ``from_tokens`` first, so it is validated as a
-frame and a non-finite value or an empty axis is refused.
+a read-only copy. A frame's row norms and the floor check on them (the index
+of the first row whose norm is below NORM_FLOOR) are one lazy cache, filled
+together (``WeightedFrame.norms``). A pair similarity of two frames computes
+only the row dots, and still raises ZeroNorm on every call that meets such a
+row. A merged frame is valid by construction: ``weighted_merge`` builds it
+without the copy and re-validation, and fills its norms and floor check at
+once. A pushed frame (``from_tokens``) is validated once by
+``as_token_matrix`` and takes its unit provenance as known. Bare matrices
+given to ``frame_pair_similarity`` or ``frame_descriptor`` are wrapped with
+``from_tokens`` first, so a non-finite value or an empty axis is refused.
 
 The kernels on the consolidation path call numpy's ufuncs directly
 (``np.add.reduce`` for sums and means, ``x.dot(x)`` under a square root for a
-vector norm, ``np.clip`` in place) instead of the Python wrappers
-``np.sum``, ``ndarray.mean`` and ``np.linalg.norm``. The arithmetic is the
-same, operation for operation: cached and uncached norms come from one
-expression, and similarities, relevance scores and merge traces stay bitwise
-equal to the plain reference loop.
+vector norm, ``np.maximum`` then ``np.minimum`` in place to clamp) instead of
+the wrappers ``np.sum``, ``ndarray.mean``, ``np.linalg.norm`` and ``np.clip``.
+A check takes one reduction on the common path (a finite sum of squares or of
+row norms vouches for every entry, a smallest norm at the floor or above for
+every row) and tests entry by entry only when it fails. The arithmetic is
+the same, operation for operation: similarities, relevance scores and merge
+traces stay bitwise equal to the plain reference loop.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ def as_token_matrix(x) -> np.ndarray:
         raise DimensionMismatch(f"token matrix must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"token matrix axes must be >= 1, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # a finite sum of squares vouches for every entry; else test each entry
+    v = a.ravel()
+    if not math.isfinite(v.dot(v)) and not np.isfinite(a).all():
         raise ValueError("token matrix contains non-finite values")
     a.setflags(write=False)
     return a
@@ -93,7 +95,9 @@ def _row_norms(tokens: np.ndarray) -> np.ndarray:
 
 
 def _first_below_floor(norms: np.ndarray) -> int:
-    # index of the first norm below NORM_FLOOR, or -1
+    # index of the first norm below NORM_FLOOR, or -1; searched only if the min fails
+    if np.minimum.reduce(norms) >= NORM_FLOOR:
+        return -1
     bad = norms < NORM_FLOOR
     j = int(bad.argmax())
     return j if bad[j] else -1
@@ -129,11 +133,20 @@ def merge_provenance(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Inte
     The result is sorted, non-overlapping, and coalesced (adjacent pieces with
     equal count become one interval).
     """
+    if not a or not b or a[-1][1] <= b[0][0]:
+        # a ends at or before b starts, as in a fill: coalesce a + b in one pass
+        out: list[list[int]] = []
+        for s, e, c in (*a, *b):
+            if out and out[-1][1] == s and out[-1][2] == c:
+                out[-1][1] = e
+            else:
+                out.append([s, e, c])
+        return tuple((s, e, c) for s, e, c in out)
     # each record's boundaries, as (point, count change), are already in
     # order, so the sort only merges the two runs: one sweep in linear time
     edges = sorted([(p, d) for s, e, c in a for p, d in ((s, c), (e, -c))]
                    + [(p, d) for s, e, c in b for p, d in ((s, c), (e, -c))])
-    out: list[list[int]] = []
+    out = []
     lo, count = None, 0
     for point, change in edges:
         if point != lo:
@@ -180,7 +193,7 @@ class WeightedFrame:
                  context_flag: bool, **cached) -> "WeightedFrame":
         # a frame valid by construction, without __post_init__'s copy and
         # checks: tokens read-only finite float64 C-contiguous, provenance
-        # valid with mass == weight, cached (norms, _bad_row) those of tokens
+        # valid with mass == weight; cached holds tokens' norms and _bad_row, or neither
         frame = object.__new__(cls)
         frame.__dict__.update(tokens=tokens, weight=weight, provenance=provenance,
                               context_flag=context_flag, **cached)
@@ -205,12 +218,8 @@ class WeightedFrame:
         """Read-only (N,) norms of the token rows, computed once per frame."""
         norms = _row_norms(self.tokens)
         norms.setflags(write=False)
+        self.__dict__["_bad_row"] = _first_below_floor(norms)  # read only after norms
         return norms
-
-    @cached_property
-    def _bad_row(self) -> int:
-        # the floor check on the cached norms, made once per frame
-        return _first_below_floor(self.norms)
 
     def as_context(self) -> "WeightedFrame":
         """This frame marked as injected context; tokens and norms are shared."""
@@ -224,6 +233,8 @@ def _vector(u) -> np.ndarray:
     a = np.asarray(u, dtype=np.float64)
     if a.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("vector contains non-finite values")
     return a
 
 
@@ -256,18 +267,20 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
 def frame_descriptor(frame) -> np.ndarray:
     """Unit-norm mean of a frame's token rows.
 
-    Accepts a WeightedFrame or a bare (N, D) matrix. Raises ZeroNorm when the
-    token mean is degenerate (norm below NORM_FLOOR), which happens when
-    tokens cancel.
+    Accepts a WeightedFrame or a bare (N, D) matrix, validated by
+    :meth:`WeightedFrame.from_tokens`. Raises ZeroNorm when the token mean has
+    norm below NORM_FLOOR (tokens cancel), and ValueError when it overflows.
     """
-    tokens = np.asarray(getattr(frame, "tokens", frame), dtype=np.float64)
-    if tokens.ndim != 2:
-        raise DimensionMismatch(f"expected an (N, D) matrix, got shape {tokens.shape}")
+    if type(frame) is not WeightedFrame:
+        frame = WeightedFrame.from_tokens(frame, 0)
+    tokens = frame.tokens
     # bitwise tokens.mean(axis=0)
     mean = np.add.reduce(tokens, axis=0) / tokens.shape[0]
     norm = _norm(mean)
     if norm < NORM_FLOOR:
         raise ZeroNorm(f"frame descriptor degenerate, token mean norm {norm:.3e}")
+    if not math.isfinite(norm):
+        raise ValueError(f"frame descriptor overflows, token mean norm {norm}")
     return mean / norm
 
 
@@ -286,13 +299,16 @@ def frame_pair_similarity(a, b) -> float:
     ta, tb = a.tokens, b.tokens
     if ta.shape != tb.shape:
         raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
-    for j, which in ((a._bad_row, "first"), (b._bad_row, "second")):
-        if j >= 0:
-            raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
-    # the ufuncs behind np.sum, np.clip and ndarray.mean, called directly
+    na, nb = a.norms, b.norms
+    if a._bad_row >= 0 or b._bad_row >= 0:
+        j, which = (a._bad_row, "first") if a._bad_row >= 0 else (b._bad_row, "second")
+        raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
+    # the ufuncs behind np.sum, np.clip (maximum, then minimum) and
+    # ndarray.mean, called directly
     cos = np.add.reduce(np.multiply(ta, tb), axis=1)
-    np.divide(cos, np.multiply(a.norms, b.norms), out=cos)
-    np.clip(cos, -1.0, 1.0, out=cos)
+    np.divide(cos, np.multiply(na, nb), out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
     return float(np.add.reduce(cos) / cos.shape[0])
 
 
@@ -326,12 +342,12 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
         tokens = ta + tb
     tokens /= total
     norms = _row_norms(tokens)
-    # a non-finite token makes its row norm non-finite; a finite norm
-    # vouches for its whole row
-    if not np.isfinite(norms).all() and not np.isfinite(tokens).all():
+    # a non-finite token makes its row norm, and so the sum of the norms
+    # (all >= 0), non-finite; a finite sum vouches for every row
+    if not math.isfinite(np.add.reduce(norms)) and not np.isfinite(tokens).all():
         raise ValueError("token matrix contains non-finite values")
     tokens.setflags(write=False)
     norms.setflags(write=False)
     return WeightedFrame._trusted(
         tokens, total, merge_provenance(a.provenance, b.provenance),
-        a.context_flag and b.context_flag, norms=norms)
+        a.context_flag and b.context_flag, norms=norms, _bad_row=_first_below_floor(norms))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mces import (
     ConsolidationConfig,
+    DimensionMismatch,
     EmptyInput,
     InvalidSpec,
     InvalidTarget,
@@ -144,6 +145,20 @@ class TestRelevanceScore:
     def test_empty_window(self):
         with pytest.raises(EmptyInput):
             relevance_score([], [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("frames, question, error", [
+        (None, [np.inf, 0.0, 0.0], ValueError),
+        (None, [1.0, np.nan, 0.0], ValueError),
+        (None, [], DimensionMismatch),
+        ([np.array([[np.inf, 1.0, 0.0]])], [1.0, 0.0, 0.0], ValueError),
+        ([np.zeros((1, 0))], [1.0, 0.0, 0.0], DimensionMismatch),
+        ([np.full((2, 3), 1e308)], [1.0, 0.0, 0.0], ValueError),
+    ], ids=["inf-question", "nan-question", "empty-question", "inf-frame",
+            "empty-frame", "overflowing-frame"])
+    def test_refuses_what_would_give_nan(self, frames, question, error):
+        with pytest.raises(error):
+            relevance_score(frames or [D(1, 0, 0), D(0, 1, 0)], question)
 
 
 class TestTargetCount:
@@ -286,6 +301,23 @@ class TestConsolidate:
     def test_empty_window(self):
         with pytest.raises(EmptyInput):
             consolidate([], None, ConsolidationConfig())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("big, question, error", [
+        (False, [np.inf, 0.0, 0.0], ValueError),
+        (False, [np.nan, 1.0, 0.0], ValueError),
+        (False, [], DimensionMismatch),
+        (True, [1.0, 0.0, 0.0], ValueError),
+    ], ids=["inf-question", "nan-question", "empty-question", "overflowing-frames"])
+    def test_no_nan_relevance_picks_the_budget(self, rng, big, question, error):
+        # a nan score would read as not relevant and take the weak budget.
+        # Big frames merge without overflow, but their token means overflow
+        frames = make_frames(rng, 6, 2, 3)
+        if big:
+            frames = [WeightedFrame.from_tokens([[(-1) ** i * 1e308, 1.0, 0.0]] * 2, i)
+                      for i in range(6)]
+        with pytest.raises(error):
+            consolidate(frames, question, ConsolidationConfig(capacity=6, base_target=2))
 
     def test_report_dict_round_trips_trace(self, rng):
         out, report = consolidate(make_frames(rng, 6, 1, 3), None,

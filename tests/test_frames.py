@@ -158,13 +158,23 @@ def _laid_out(steps):
 
 
 class TestMergeProvenanceSweep:
-    @given(records, records)
+    @given(records, records, st.integers(0, 2), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_quadratic_version(self, a, b):
-        got = merge_provenance(a, b)
-        assert got == quadratic_merge_provenance(a, b)
-        assert all(type(v) is int for iv in got for v in iv)
-        assert provenance_mass(got) == provenance_mass(a) + provenance_mass(b)
+    def test_equals_the_quadratic_version(self, a, b, gap, same_count):
+        # as drawn, a and b overlap and take the sweep. b moved to start gap
+        # after a ends (touching at gap 0, with a's last count or another)
+        # takes the in-order pass, as every merge inside a fill does
+        after = b
+        if a and b:
+            shift = a[-1][1] + gap - b[0][0]
+            after = tuple((s + shift, e + shift, c) for s, e, c in b)
+            if same_count:
+                after = ((*after[0][:2], a[-1][2]),) + after[1:]
+        for x, y in ((a, b), (a, after)):
+            got = merge_provenance(x, y)
+            assert got == quadratic_merge_provenance(x, y)
+            assert all(type(v) is int for iv in got for v in iv)
+            assert provenance_mass(got) == provenance_mass(x) + provenance_mass(y)
 
     def test_long_interleaved_records(self):
         # the sizes long-term entries reach on long streams (hundreds of
@@ -250,6 +260,15 @@ class TestCosine:
         with pytest.raises(DimensionMismatch):
             cosine(np.ones((2, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("u, v, error", [
+        ([np.inf, 1.0], [1.0, 0.0], ValueError),
+        ([1.0, 0.0], [np.nan, 1.0], ValueError),
+        ([], [], ZeroNorm),
+    ], ids=["inf", "nan", "empty"])
+    def test_refuses_what_would_give_nan(self, u, v, error):
+        with pytest.raises(error):
+            cosine(u, v)
+
 
 class TestFrameDescriptor:
     def test_unit_norm(self, rng):
@@ -265,6 +284,20 @@ class TestFrameDescriptor:
     def test_accepts_weighted_frame(self, rng):
         f = WeightedFrame.from_tokens(rng.standard_normal((3, 4)), 0)
         assert np.array_equal(frame_descriptor(f), frame_descriptor(f.tokens))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("tokens, error", [
+        ([[np.inf, 1.0], [1.0, 1.0]], ValueError),
+        ([[1.0, 1.0], [np.nan, 1.0]], ValueError),
+        (np.zeros((0, 2)), DimensionMismatch),
+        (np.full((2, 2), 1e308), ValueError),  # finite tokens, overflowing mean
+    ], ids=["inf", "nan", "empty", "overflow"])
+    def test_refuses_what_would_give_nan(self, tokens, error):
+        with pytest.raises(error):
+            frame_descriptor(tokens)
+        if error is ValueError and np.isfinite(tokens).all():
+            with pytest.raises(error):
+                frame_descriptor(WeightedFrame.from_tokens(tokens, 0))
 
     def test_cancelling_tokens_degenerate(self):
         with pytest.raises(ZeroNorm):
@@ -419,9 +452,18 @@ class TestWeightedMerge:
                           provenance=((wa, wa + wb, 1),))
         with pytest.raises(ValueError):
             weighted_merge(a, b)
+        # finite entries whose sum of squares overflows pass the exact check
+        # the validation falls back to, by either constructor
+        pushed = WeightedFrame.from_tokens(np.full((2, 3), 1e308), 0)
+        for frame in (a, b, pushed):
+            assert np.array_equal(frame.tokens, np.full((2, 3), 1e308))
+        with pytest.raises(ValueError):
+            weighted_merge(pushed, WeightedFrame.from_tokens(np.full((2, 3), 1e308), 1))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_finite_merge_with_overflowing_norms_is_kept(self):
+        # the inputs' sums of squares and the merge's sum of row norms are
+        # inf on finite tokens: both checks fall back to the exact test
         a = WeightedFrame.from_tokens(np.full((2, 3), 1e200), 0)
         m = weighted_merge(a, WeightedFrame.from_tokens(np.full((2, 3), 3e200), 1))
         assert np.array_equal(m.tokens, np.full((2, 3), 2e200))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from mces import (
+    NORM_FLOOR,
     LongTermMemory,
     ShortTermBuffer,
     WeightedFrame,
@@ -27,6 +28,8 @@ from mces import (
     unit_interval,
     weighted_merge,
 )
+
+from mces.frames import _first_below_floor
 
 import oracles
 
@@ -180,6 +183,18 @@ def test_zero_norm_row_is_refused_on_every_call(shape, merged):
         assert str(bare.value) == str(err.value)
     assert frame_pair_similarity(good, good.as_context()) == \
         oracles.pairwise_mean_cosine(good.tokens, good.tokens)
+    # the floor check searches for the index only when the smallest norm is
+    # below the floor or nan, and gives the plain search's index
+    def searched(norms):
+        below = norms < NORM_FLOOR
+        return int(below.argmax()) if below.any() else -1
+    norms = good.norms.copy()
+    norms[row] = np.nan
+    assert _first_below_floor(norms) == searched(norms) == -1
+    norms[-1] = NORM_FLOOR / 2
+    assert _first_below_floor(norms) == searched(norms) == shape[0] - 1
+    assert _first_below_floor(bad.norms) == searched(bad.norms) == row
+    assert _first_below_floor(good.norms) == searched(good.norms) == -1
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
