@@ -23,20 +23,33 @@ once. A pushed frame (``from_tokens``) is validated once by
 given to ``frame_pair_similarity`` or ``frame_descriptor`` are wrapped with
 ``from_tokens`` first, so a non-finite value or an empty axis is refused.
 
+``as_token_matrix`` refuses two things besides a wrong shape: a non-finite
+entry, and a matrix whose float64 sum of squares is above half the largest
+float64 (entries of about 1e154 and up), whose row norms and dots would
+overflow and give a nan or wrong similarity. Its check is one sum of squares
+at the input's own precision: a C-contiguous float32 frame, as a stream
+gives, is summed in float32, at half the bytes of its float64 copy. Widening
+float32 is exact and a finite float32 sum cannot approach the limit, so the
+decision is the same; when the sum is not in range, the float64 copy is
+scanned entry by entry and its own sum of squares decides. A merge of two
+valid frames is a weighted mean of rows in range, so ``weighted_merge``
+refuses only a weighted sum that overflows.
+
 The kernels on the consolidation path call numpy's ufuncs directly
 (``np.add.reduce`` for sums and means, ``x.dot(x)`` under a square root for a
 vector norm, ``np.maximum`` then ``np.minimum`` in place to clamp) instead of
 the wrappers ``np.sum``, ``ndarray.mean``, ``np.linalg.norm`` and ``np.clip``.
-A check takes one reduction on the common path (a finite sum of squares or of
-row norms vouches for every entry, a smallest norm at the floor or above for
-every row) and tests entry by entry only when it fails. The arithmetic is
-the same, operation for operation: similarities, relevance scores and merge
-traces stay bitwise equal to the plain reference loop.
+A check takes one reduction on the common path (a sum of squares in range or
+a finite sum of row norms vouches for every entry, a smallest norm at the
+floor or above for every row) and looks further only when it fails. The
+arithmetic is the same, operation for operation: similarities, relevance
+scores and merge traces stay bitwise equal to the plain reference loop.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -61,6 +74,11 @@ __all__ = [
 # Norms below this are treated as zero and refused, never silently mapped to 0.
 NORM_FLOOR = 1e-12
 
+# A frame's float64 sum of squares may be at most this, half the largest
+# float64: then its row norms, their products and its row dots stay finite,
+# so no similarity of two frames overflows or reads nan.
+_SUMSQ_MAX = sys.float_info.max / 2
+
 Interval = tuple[int, int, int]
 
 
@@ -69,22 +87,33 @@ def as_token_matrix(x) -> np.ndarray:
 
     Returns a read-only float64 C-contiguous copy, always: the caller's
     array stays writable and later writes to it do not reach the copy.
-    Rejects anything that is not 2-dimensional with N >= 1 and D >= 1, and
-    any non-finite entry.
+    Rejects anything that is not 2-dimensional with N >= 1 and D >= 1, any
+    non-finite entry, and a matrix whose float64 sum of squares is above
+    half the largest float64 (its norms would overflow a similarity).
 
     Raises:
         DimensionMismatch: wrong rank or an empty axis.
-        ValueError: non-finite entries.
+        ValueError: non-finite entries, or a norm that overflows.
     """
     a = np.array(x, dtype=np.float64, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"token matrix must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"token matrix axes must be >= 1, got shape {a.shape}")
-    # a finite sum of squares vouches for every entry; else test each entry
-    v = a.ravel()
-    if not math.isfinite(v.dot(v)) and not np.isfinite(a).all():
-        raise ValueError("token matrix contains non-finite values")
+    # a sum of squares in range vouches for every entry; else test each entry.
+    # A C-contiguous float32 input is summed as it is: widening is exact, and
+    # it is half the bytes and still in cache after the copy
+    if type(x) is np.ndarray and x.dtype == np.float32 and x.flags.c_contiguous:
+        v = x.ravel()
+    else:
+        v = a.ravel()
+    if not float(v.dot(v)) <= _SUMSQ_MAX:
+        if not np.isfinite(a).all():
+            raise ValueError("token matrix contains non-finite values")
+        v = a.ravel()
+        if not v.dot(v) <= _SUMSQ_MAX:
+            raise ValueError(
+                f"token matrix norm overflows: sum of squares above {_SUMSQ_MAX:.3e}")
     a.setflags(write=False)
     return a
 
@@ -269,7 +298,9 @@ def frame_descriptor(frame) -> np.ndarray:
 
     Accepts a WeightedFrame or a bare (N, D) matrix, validated by
     :meth:`WeightedFrame.from_tokens`. Raises ZeroNorm when the token mean has
-    norm below NORM_FLOOR (tokens cancel), and ValueError when it overflows.
+    norm below NORM_FLOOR (tokens cancel). The mean cannot overflow: its
+    squared norm is at most the frame's sum of squares, which
+    ``as_token_matrix`` keeps in range.
     """
     if type(frame) is not WeightedFrame:
         frame = WeightedFrame.from_tokens(frame, 0)
@@ -279,8 +310,6 @@ def frame_descriptor(frame) -> np.ndarray:
     norm = _norm(mean)
     if norm < NORM_FLOOR:
         raise ZeroNorm(f"frame descriptor degenerate, token mean norm {norm:.3e}")
-    if not math.isfinite(norm):
-        raise ValueError(f"frame descriptor overflows, token mean norm {norm}")
     return mean / norm
 
 
@@ -321,7 +350,7 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     associative up to float error: any merge tree over the same multiset of
     weight-1 frames lands on the same weighted mean.
 
-    Raises ValueError when the merged tokens overflow to non-finite values.
+    Raises ValueError when the weighted sum overflows.
     """
     ta, tb = a.tokens, b.tokens
     if ta.shape != tb.shape:
@@ -342,10 +371,11 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
         tokens = ta + tb
     tokens /= total
     norms = _row_norms(tokens)
-    # a non-finite token makes its row norm, and so the sum of the norms
-    # (all >= 0), non-finite; a finite sum vouches for every row
-    if not math.isfinite(np.add.reduce(norms)) and not np.isfinite(tokens).all():
-        raise ValueError("token matrix contains non-finite values")
+    # each row is a weighted mean of two rows in range, so only the weighted
+    # sum can overflow; an overflowed token makes its row norm, and so the
+    # sum of the norms (all >= 0), non-finite
+    if not math.isfinite(np.add.reduce(norms)):
+        raise ValueError("merged token matrix overflows")
     tokens.setflags(write=False)
     norms.setflags(write=False)
     return WeightedFrame._trusted(

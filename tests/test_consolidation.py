@@ -311,12 +311,12 @@ class TestConsolidate:
     ], ids=["inf-question", "nan-question", "empty-question", "overflowing-frames"])
     def test_no_nan_relevance_picks_the_budget(self, rng, big, question, error):
         # a nan score would read as not relevant and take the weak budget.
-        # Big frames merge without overflow, but their token means overflow
-        frames = make_frames(rng, 6, 2, 3)
-        if big:
-            frames = [WeightedFrame.from_tokens([[(-1) ** i * 1e308, 1.0, 0.0]] * 2, i)
-                      for i in range(6)]
+        # Frames whose norms would overflow are refused when they are built
         with pytest.raises(error):
+            frames = make_frames(rng, 6, 2, 3)
+            if big:
+                frames = [WeightedFrame.from_tokens([[(-1) ** i * 1e308, 1.0, 0.0]] * 2, i)
+                          for i in range(6)]
             consolidate(frames, question, ConsolidationConfig(capacity=6, base_target=2))
 
     def test_report_dict_round_trips_trace(self, rng):

@@ -64,6 +64,57 @@ class TestTokenMatrix:
         with pytest.raises(ValueError):
             as_token_matrix(bad)
 
+    # Each content on each input type and layout: float32 and float64 in C
+    # order (float32 is checked at its own precision), as a strided view and
+    # in Fortran order (checked on the float64 copy), ints, and nested lists.
+    # Float32 entries near 1e20 overflow the float32 sum of squares although
+    # they are finite, so numpy may warn "overflow encountered in dot" on the
+    # way to the exact fallback; the warning is allowed, and the frame must
+    # still be accepted.
+    CHECK_CASES = (
+        [(dtype, layout, content)
+         for dtype in ("float32", "float64")
+         for layout in ("c", "strided", "fortran")
+         for content in ("unit", "near-1e20", "nan", "inf", "-inf")]
+        + [("int64", layout, "unit") for layout in ("c", "strided", "fortran")]
+        + [("list", "c", content) for content in ("unit", "near-1e20", "nan", "inf", "-inf")]
+    )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("dtype, layout, content", CHECK_CASES,
+                             ids=["-".join(case) for case in CHECK_CASES])
+    def test_check_at_every_precision_and_layout(self, rng, dtype, layout, content):
+        base = rng.standard_normal((3, 10))
+        if dtype == "int64":
+            base = rng.integers(-5, 6, (3, 10))
+        elif content == "near-1e20":
+            base = base * 1e20
+        elif content != "unit":
+            base[1, 4] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[content]
+        if dtype == "list":
+            x = base.tolist()
+        else:
+            x = base.astype(dtype)
+            if layout == "strided":
+                wide = np.zeros((3, 20), dtype=dtype)
+                wide[:, ::2] = x
+                x = wide[:, ::2]
+            elif layout == "fortran":
+                x = np.asfortranarray(x)
+        if content in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_token_matrix(x)
+            return
+        a = as_token_matrix(x)
+        want = np.array(x, np.float64)
+        assert a.tobytes() == want.tobytes()
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert not a.flags.writeable
+        if dtype != "list":
+            assert x.flags.writeable
+            x[0, 0] = 7
+            assert a[0, 0] == want[0, 0] != 7
+
 
 class TestProvenance:
     def test_unit_interval(self):
@@ -290,7 +341,7 @@ class TestFrameDescriptor:
         ([[np.inf, 1.0], [1.0, 1.0]], ValueError),
         ([[1.0, 1.0], [np.nan, 1.0]], ValueError),
         (np.zeros((0, 2)), DimensionMismatch),
-        (np.full((2, 2), 1e308), ValueError),  # finite tokens, overflowing mean
+        (np.full((2, 2), 1e308), ValueError),  # finite tokens, overflowing norms
     ], ids=["inf", "nan", "empty", "overflow"])
     def test_refuses_what_would_give_nan(self, tokens, error):
         with pytest.raises(error):
@@ -353,6 +404,25 @@ class TestPairSimilarity:
         assert frame_pair_similarity(a, b) == want
         assert frame_pair_similarity(a, b.tokens) == want
         assert frame_pair_similarity(a.tokens, b) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_frame_whose_norms_overflow_is_refused_before_a_similarity(self):
+        # its row norms would overflow: the similarity with itself read nan,
+        # and with a parallel frame of 1e100 entries 0.0 where it is 1
+        with pytest.raises(ValueError, match="norm overflows"):
+            WeightedFrame.from_tokens(np.full((2, 3), 1e200), 0)
+        for tokens in (np.full((2, 3), 1e200), np.full((2, 3), 1e100)):
+            with pytest.raises(ValueError, match="norm overflows"):
+                frame_pair_similarity(np.full((2, 3), 1e200), tokens)
+
+    def test_frames_near_the_accepted_edge_give_the_true_similarity(self):
+        f = WeightedFrame.from_tokens(np.full((2, 3), 1e153), 0)
+        g = WeightedFrame.from_tokens(np.full((2, 3), 1e100), 1)
+        assert frame_pair_similarity(f, f) == 1.0
+        assert frame_pair_similarity(f, g) == pytest.approx(1.0, abs=1e-15)
+        h = WeightedFrame.from_tokens(np.full((2, 3), -1e153), 2)
+        assert frame_pair_similarity(f, h) == -1.0
+        assert frame_pair_similarity(weighted_merge(f, g), f) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_zero_token_in_a_frame_reports_row(self, side):
@@ -447,27 +517,29 @@ class TestWeightedMerge:
     @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 3), (2, 3)])
     def test_overflowing_merge_raises(self, weights):
         wa, wb = weights
-        a = WeightedFrame(np.full((2, 3), 1e308), weight=wa, provenance=((0, wa, 1),))
-        b = WeightedFrame(np.full((2, 3), 1e308), weight=wb,
+        # entries of 1e308 are refused by either constructor, so no merge
+        # meets them
+        with pytest.raises(ValueError, match="norm overflows"):
+            WeightedFrame(np.full((2, 3), 1e308), weight=wa, provenance=((0, wa, 1),))
+        with pytest.raises(ValueError, match="norm overflows"):
+            WeightedFrame.from_tokens(np.full((2, 3), 1e308), 0)
+        # valid frames whose weighted sum overflows: only weights above
+        # about 1e154 reach it
+        wa, wb = wa * 10 ** 160, wb * 10 ** 160
+        a = WeightedFrame(np.full((2, 3), 1e150), weight=wa, provenance=((0, wa, 1),))
+        b = WeightedFrame(np.full((2, 3), 1e150), weight=wb,
                           provenance=((wa, wa + wb, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overflows"):
             weighted_merge(a, b)
-        # finite entries whose sum of squares overflows pass the exact check
-        # the validation falls back to, by either constructor
-        pushed = WeightedFrame.from_tokens(np.full((2, 3), 1e308), 0)
-        for frame in (a, b, pushed):
-            assert np.array_equal(frame.tokens, np.full((2, 3), 1e308))
-        with pytest.raises(ValueError):
-            weighted_merge(pushed, WeightedFrame.from_tokens(np.full((2, 3), 1e308), 1))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_finite_merge_with_overflowing_norms_is_kept(self):
-        # the inputs' sums of squares and the merge's sum of row norms are
-        # inf on finite tokens: both checks fall back to the exact test
-        a = WeightedFrame.from_tokens(np.full((2, 3), 1e200), 0)
-        m = weighted_merge(a, WeightedFrame.from_tokens(np.full((2, 3), 3e200), 1))
-        assert np.array_equal(m.tokens, np.full((2, 3), 2e200))
-        assert np.isinf(m.norms).all()
+    def test_finite_tokens_with_overflowing_norms_are_refused(self):
+        # entries of 1e200 are finite but their sum of squares is not: both
+        # constructors refuse them, so no merge can keep them
+        for build in (lambda t: WeightedFrame.from_tokens(t, 0),
+                      lambda t: WeightedFrame(t, weight=1, provenance=((0, 1, 1),))):
+            with pytest.raises(ValueError, match="norm overflows"):
+                build(np.full((2, 3), 1e200))
 
     def test_merge_matches_oracle_arithmetic(self, rng):
         frames = make_frames(rng, 2, 3, 5)

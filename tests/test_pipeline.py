@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,23 @@ class TestFlush:
         assert len(pipe.short) == 0
         # one fill at push 17, then the residue of 4 seeds and 4 fresh frames
         assert [r.input_count for r in reports] == [16, 8]
+
+    @pytest.mark.parametrize("reinit_mode", ["merged_tokens", "none"])
+    def test_float32_stream_equals_its_float64_upcast(self, rng, reinit_mode):
+        # a C-contiguous float32 frame is validated in float32 and its float64
+        # upcast in float64; the precision of that check reaches no output
+        q = rng.standard_normal(16)
+        stream = rng.standard_normal((300, 4, 16)).astype(np.float32)
+        stream[100:160] += q.astype(np.float32)  # a relevant stretch
+        runs = []
+        for frames in (list(stream), list(stream.astype(np.float64))):
+            pipe = Pipeline(4, 16, question=q, ltm_capacity=12, reinit_mode=reinit_mode)
+            reports = pipe.run_stream(frames)
+            runs.append((
+                [(e.tokens.tobytes(), e.weight, e.provenance) for e in pipe.long.entries],
+                json.dumps([r.to_dict() for r in reports]),
+            ))
+        assert runs[0] == runs[1]
 
 
 def exported(pipe, path):
