@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--segments", help="start:stop:rho[,start:stop:rho...]")
-    p.add_argument("--with-question", action="store_true", default=True)
     p.add_argument("--no-question", dest="with_question", action="store_false")
     p.add_argument("--out", dest="out_file", default="stream.mces")
     p.set_defaults(handler=_cmd_gen)

@@ -43,7 +43,7 @@ __all__ = [
 
 # retired config keys, each with the one value a config or snapshot may carry
 _RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False,
-            "basis": "mean", "question_required": False}
+            "basis": "mean", "question_required": False, "windows_per_fill": 1}
 _KINDS = {"int": int, "float": float}
 
 
@@ -93,31 +93,23 @@ class ConsolidationConfig:
     def from_dict(cls, doc: dict) -> "ConsolidationConfig":
         """Build a config from a plain dict (a --config ``cfg`` or a snapshot).
 
-        Unknown keys raise InvalidSpec. Files written before the window
-        knobs were retired may carry window_size and windows_per_fill; they
-        must be ints, and are accepted only when their product equals
-        capacity, then dropped.
-        The retired relevance keys are accepted only at their one value.
+        Unknown keys raise InvalidSpec. The retired keys are accepted only at
+        their one value: windows_per_fill at 1, and window_size, an int, only
+        when it equals capacity (the fill is the one window).
         """
         doc = dict(doc)
-        _check_keys(doc, {f.name for f in fields(cls)} | {"window_size", "windows_per_fill"},
-                      _RETIRED)
-        legacy = {key: checked(key, int, doc.pop(key))
-                  for key in ("window_size", "windows_per_fill") if key in doc}
-        if legacy:
-            capacity = checked("capacity", int, doc.get("capacity", cls.capacity))
-            product = legacy.get("window_size", capacity) * legacy.get("windows_per_fill", 1)
-            if product != capacity:
-                raise InvalidSpec(
-                    f"legacy window_size * windows_per_fill = {product} "
-                    f"!= capacity {capacity}")
+        capacity = checked("capacity", int, doc.get("capacity", cls.capacity))
+        window_size = checked("window_size", int, doc.pop("window_size", capacity))
+        if window_size != capacity:
+            raise InvalidSpec(f"retired config key 'window_size' must equal capacity "
+                              f"{capacity}, got {window_size}")
+        _check_keys(doc, {f.name for f in fields(cls)}, _RETIRED)
         return cls(**doc)
 
     def to_dict(self) -> dict:
         """Snapshot form. It still writes the retired keys (one window per
         fill), so readers of snapshot version 1 without from_dict load it."""
-        return {**asdict(self), **_RETIRED,
-                "window_size": self.capacity, "windows_per_fill": 1}
+        return {**asdict(self), **_RETIRED, "window_size": self.capacity}
 
     def weak_target(self) -> int:
         """Slot budget for an irrelevant window: round-half-up, clamped."""

@@ -91,6 +91,11 @@ def as_token_matrix(x) -> np.ndarray:
     non-finite entry, and a matrix whose float64 sum of squares is above
     half the largest float64 (its norms would overflow a similarity).
 
+    A float32 frame with entries near 1e19 and up overflows its float32 sum
+    of squares and is accepted after the scan, but numpy warns "overflow
+    encountered in dot": ``np.errstate`` would cost about 1.5 us against a
+    5.5 us step, and float64 ``einsum`` over 6x the dot, so the warning stays.
+
     Raises:
         DimensionMismatch: wrong rank or an empty axis.
         ValueError: non-finite entries, or a norm that overflows.

@@ -21,7 +21,7 @@ collision scan is provided rather than pretending the map is injective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,18 +119,14 @@ class ShortTermBuffer:
         frames, self._frames = self._frames, []
         return frames
 
-    def _unpush(self, fill: list[WeightedFrame]) -> None:
-        # undo the push that popped ``fill``: its trigger frame goes, the
-        # fill is buffered again and the trigger's source index is given back
-        self._frames = list(fill)
-        self._next_source_index -= 1
-
-    def _restore(self, frames: Iterable[WeightedFrame]) -> None:
-        # requeue already-wrapped frames (no new source indices) into a
-        # drained buffer; callers keep them within capacity
+    def _reset(self, frames: Sequence[WeightedFrame], next_source_index: int) -> None:
+        # put back already-wrapped frames and the next source index: a failed
+        # fire or flush rolls back with it, and a snapshot resumes with it;
+        # callers keep the frames within capacity
         for frame in frames:
             self._check_shape(frame.tokens)
-            self._frames.append(frame)
+        self._frames = list(frames)
+        self._next_source_index = next_source_index
 
 
 class LongTermMemory:
@@ -213,11 +209,14 @@ class LongTermMemory:
 
     def _restore(self, entries: Sequence[WeightedFrame], position_ids: Sequence[int],
                  next_position_id: int) -> None:
-        # snapshot import path; trusts ids, rebuilds the similarity cache
+        # snapshot import path: checks the ids, rebuilds the similarity cache
         if len(entries) != len(position_ids):
             raise InvalidSpec("entry and position id counts differ")
-        if any(b <= a for a, b in zip(position_ids, position_ids[1:])):
-            raise InvalidSpec("position ids must be strictly increasing")
+        # ids count up from 0, so each exceeds the one before it, the first -1
+        if any(b <= a for a, b in zip([-1, *position_ids], position_ids)):
+            raise InvalidSpec("position ids must be non-negative and strictly increasing")
+        if position_ids and next_position_id <= position_ids[-1]:
+            raise InvalidSpec(f"next_position_id {next_position_id} is not past the last id")
         self._entries = []
         self._pair_sims = []
         for frame in entries:

@@ -17,9 +17,9 @@ source index and the store's next position id.
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
 cost is raw scaled by the observed output/input frame ratio of completed
-consolidations, and peak cost is both bounded structures at capacity. A
-separate instrumented counter tracks actually-resident frame slots so the
-bound can be checked against observed behavior.
+consolidations, and peak cost is both bounded structures at capacity. The
+observed peak of resident frame slots, ``peak_resident_frames``, is a view
+of the banks' high-water mark and the frames held, checked against it.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class Pipeline:
         self.consolidations_run = 0
         self.consolidation_input_total = 0
         self.seeded_weight_total = 0
-        self.peak_resident_frames = 0
+        self._banked_peak = 0
 
     # -- streaming -------------------------------------------------------
 
@@ -164,18 +164,18 @@ class Pipeline:
         it was before the call.
         """
         popped = self.short.push(frame)
-        report = None
-        if popped is not None:
-            try:
-                out, report = consolidate(popped, self.question, self.cfg)
-                self._bank(popped, out)
-            except BaseException:
-                self.short._unpush(popped)
-                raise
-            if self.reinit_mode == "merged_tokens":
-                self.short.seed(out)
-                self.seeded_weight_total += sum(f.weight for f in out)
-        self._note_resident()
+        if popped is None:
+            return None
+        try:
+            out, report = consolidate(popped, self.question, self.cfg)
+            self._bank(popped, out)
+        except BaseException:
+            # the trigger goes and gives back its source index
+            self.short._reset(popped, self.frames_pushed - 1)
+            raise
+        if self.reinit_mode == "merged_tokens":
+            self.short.seed(out)
+            self.seeded_weight_total += sum(f.weight for f in out)
         return report
 
     def flush(self) -> ConsolidationReport | None:
@@ -193,9 +193,8 @@ class Pipeline:
             out, report = consolidate(window, self.question, self.cfg, _residue=True)
             self._bank(window, out)
         except BaseException:
-            self.short._restore(window)
+            self.short._reset(window, self.frames_pushed)
             raise
-        self._note_resident()
         return report
 
     def run_stream(self, frames: Iterable) -> list[ConsolidationReport]:
@@ -211,7 +210,7 @@ class Pipeline:
         self.long.append(out)
         self.consolidations_run += 1
         self.consolidation_input_total += len(window)
-        self.peak_resident_frames = max(self.peak_resident_frames, resident)
+        self._banked_peak = max(self._banked_peak, resident)
 
     @property
     def frames_pushed(self) -> int:
@@ -223,14 +222,44 @@ class Pipeline:
         """Frames banked so far: the store's next position id."""
         return self.long.next_position_id
 
+    @property
+    def peak_resident_frames(self) -> int:
+        """Most frames resident at once: the banks' high-water mark, or the
+        frames held now if more. Between banks the buffer only grows, so this
+        is exact unless a caller drains or seeds ``short`` before a fire."""
+        return max(self._banked_peak, len(self.short) + len(self.long))
+
     def counters(self) -> dict[str, int]:
         """The COUNTERS attributes by name, in order."""
         return {name: getattr(self, name) for name in COUNTERS}
 
-    def _note_resident(self) -> None:
-        resident = len(self.short) + len(self.long)
-        if resident > self.peak_resident_frames:
-            self.peak_resident_frames = resident
+    def _restore(self, counters: dict[str, int], entries: Sequence[WeightedFrame],
+                 position_ids: Sequence[int], next_position_id: int,
+                 buffered: Sequence[WeightedFrame], next_source_index: int) -> None:
+        # snapshot resume: the stores take back and check their own state,
+        # then the counters are checked against it. InvalidSpec on a break,
+        # which would resume by handing out a source index or id twice
+        self.long._restore(entries, position_ids, next_position_id)
+        self.short._reset(buffered, next_source_index)
+        negative = [name for name, value in counters.items() if value < 0]
+        if negative:
+            raise InvalidSpec(f"counters {negative} are negative")
+        for view, store in (("frames_pushed", "short.next_source_index"),
+                            ("consolidation_output_total", "long.next_position_id")):
+            if counters[view] != getattr(self, view):
+                raise InvalidSpec(
+                    f"{store} {getattr(self, view)} != counters.{view} {counters[view]}")
+        peak, held = counters["peak_resident_frames"], len(self.short) + len(self.long)
+        if peak < held:
+            raise InvalidSpec(f"peak_resident_frames {peak} is below the {held} frames held")
+        for where, frames in (("long.entries", entries), ("short.frames", buffered)):
+            # provenance is sorted: its last stop is its largest
+            if any(f.provenance[-1][1] > self.frames_pushed for f in frames):
+                raise InvalidSpec(
+                    f"{where} reach past short.next_source_index {self.frames_pushed}")
+        for name in ("consolidations_run", "consolidation_input_total", "seeded_weight_total"):
+            setattr(self, name, counters[name])
+        self._banked_peak = peak
 
     # -- assembly --------------------------------------------------------
 

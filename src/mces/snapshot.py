@@ -9,7 +9,13 @@ round-trip at the container's 32-bit storage precision.
 Export is deterministic: identical state produces byte-identical files.
 Both directions stream the sidecar: export writes it one frame at a time,
 and import reads it one chunk at a time, rebuilding each entry as its frame
-arrives, so neither holds more of it than one chunk.
+arrives, so neither holds more of it than one chunk. Export refuses a token
+outside the container's float32 range before it opens either file.
+
+Import refuses, with InvalidSpec, what could not resume. Here: a bad key or
+type, and, before the sidecar is opened, a store listed over its capacity.
+:meth:`LongTermMemory._restore` checks its ids, :meth:`Pipeline._restore`
+the counters against the stores and every provenance against frames_pushed.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from contextlib import closing
 import numpy as np
 
 from .consolidation import ConsolidationConfig, _check_keys
-from .errors import InvalidSpec, IoFailure, ShapeMismatch
+from .errors import InvalidSpec, IoFailure, NonFiniteValue, ShapeMismatch
 from .frames import WeightedFrame
 from .pipeline import COUNTERS, Pipeline
-from .streamio import iter_stream, write_stream
+from .streamio import _F32_EDGE, iter_stream, write_stream
 # unused here; kept only so bench/spans.py can wrap snapshot.read_stream
 from .streamio import read_stream  # noqa: F401
 
@@ -55,9 +61,15 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
     The sidecar (token matrices) is the JSON path with a .mces suffix, where
     :func:`import_pipeline` looks for it. It is omitted for a pipeline that
     holds no frames, since the container cannot hold zero frames. Returns
-    the paths written.
+    the paths written. A token outside the container's float32 range raises
+    NonFiniteValue before either file is opened.
     """
     frames = pipe.long.entries + pipe.short.frames
+    for index, frame in enumerate(frames):
+        # the sidecar holds float32: refuse what the cast would make infinite
+        if max(frame.tokens.max(), -frame.tokens.min()) >= _F32_EDGE:
+            raise NonFiniteValue(f"frame {index} is outside the container's float32 range "
+                                 f"(+-{np.finfo(np.float32).max:.7e})", frame_index=index)
     sidecar_path = os.path.splitext(json_path)[0] + ".mces" if frames else None
     doc = {
         "kind": "pipeline_snapshot",
@@ -174,39 +186,21 @@ def import_pipeline(json_path: str) -> Pipeline:
     long, short = _field(doc, "long", dict), _field(doc, "short", dict)
     long_meta = _field(long, "entries", list, "snapshot long")
     short_meta = _field(short, "frames", list, "snapshot short")
-    if len(short_meta) > cfg.capacity:
-        raise InvalidSpec(f"snapshot short.frames holds {len(short_meta)} frames, "
-                          f"over the buffer capacity {cfg.capacity}")
+    for where, meta, capacity in (("long.entries", long_meta, pipe.long.capacity),
+                                  ("short.frames", short_meta, cfg.capacity)):
+        if len(meta) > capacity:
+            raise InvalidSpec(f"snapshot {where} holds {len(meta)} frames, "
+                              f"over the capacity {capacity}")
+    counters = _field(doc, "counters", dict)
+    _check_keys(counters, COUNTERS, {}, "snapshot counters")
+    counters = {name: _field(counters, name, int, "snapshot counters") for name in COUNTERS}
+    position_ids = [_field(meta, "position_id", int, "long-term entry") for meta in long_meta]
     matrices = _sidecar_frames(doc, json_path, len(long_meta) + len(short_meta))
     with closing(matrices):
         # meta first in each zip, so that no frame is read past the last entry
         entries = [_rebuild_frame(tokens, meta) for meta, tokens in zip(long_meta, matrices)]
-        pipe.long._restore(
-            entries, [_field(meta, "position_id", int, "long-term entry") for meta in long_meta],
-            _field(long, "next_position_id", int, "snapshot long"))
-        pipe.short._restore([_rebuild_frame(tokens, meta)
-                             for meta, tokens in zip(short_meta, matrices)])
-    pipe.short._next_source_index = _field(short, "next_source_index", int, "snapshot short")
-    counters = _field(doc, "counters", dict)
-    _check_keys(counters, COUNTERS, {}, "snapshot counters")
-    counters = {name: _field(counters, name, int, "snapshot counters") for name in COUNTERS}
-    # the engine keeps these on every path; a snapshot that breaks one would
-    # resume by handing out source indices or position ids a second time
-    sources, next_id = pipe.short.next_source_index, pipe.long.next_position_id
-    negative = [name for name, value in counters.items() if value < 0]
-    if negative:
-        raise InvalidSpec(f"snapshot counters {negative} are negative")
-    if sources != counters["frames_pushed"]:
-        raise InvalidSpec(f"snapshot short.next_source_index {sources} "
-                          f"!= counters.frames_pushed {counters['frames_pushed']}")
-    if next_id != counters["consolidation_output_total"]:
-        raise InvalidSpec(f"snapshot long.next_position_id {next_id} != counters."
-                          f"consolidation_output_total {counters['consolidation_output_total']}")
-    # the two checked above are views of the stores; the rest are the pipeline's own
-    for name in set(COUNTERS) - {"frames_pushed", "consolidation_output_total"}:
-        setattr(pipe, name, counters[name])
-    if max(pipe.long.position_ids, default=-1) >= next_id:
-        raise InvalidSpec(f"snapshot long.next_position_id {next_id} is not past the last id")
-    if any(stop > sources for f in pipe.short.frames for _, stop, _ in f.provenance):
-        raise InvalidSpec(f"snapshot short.frames reach past short.next_source_index {sources}")
+        buffered = [_rebuild_frame(tokens, meta) for meta, tokens in zip(short_meta, matrices)]
+    pipe._restore(counters, entries, position_ids,
+                  _field(long, "next_position_id", int, "snapshot long"),
+                  buffered, _field(short, "next_source_index", int, "snapshot short"))
     return pipe

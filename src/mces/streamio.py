@@ -58,6 +58,8 @@ HEADER_SIZE = 20
 _HEADER_STRUCT = struct.Struct("<4sHIHHH4s")
 _FLAG_QUESTION = 1
 _F32 = np.dtype("<f4")
+# the smallest magnitude that rounds to infinity when cast to float32
+_F32_EDGE = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True)

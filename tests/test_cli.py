@@ -61,6 +61,14 @@ class TestGen:
         _, _, q = read_stream(path)
         assert q is None
 
+    def test_retired_with_question_flag_exits_2(self, tmp_path, capsys):
+        # the question is written unless --no-question is given
+        with pytest.raises(SystemExit) as caught:
+            gen(tmp_path, extra=["--with-question"])
+        assert caught.value.code == 2
+        assert "--with-question" in capsys.readouterr().err
+        assert not (tmp_path / "s.mces").exists()
+
     def test_deterministic(self, tmp_path):
         a = gen(tmp_path, "a.mces")
         b = gen(tmp_path, "b.mces")

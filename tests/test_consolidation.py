@@ -36,8 +36,16 @@ class TestConfig:
         assert [f.name for f in fields(cfg)] == ["capacity", "base_target", "alpha", "sigma"]
 
     def test_from_dict_accepts_legacy_window_keys_matching_capacity(self):
+        # one window per fill is the only layout: four gated windows per fill
+        # would silently run as one
+        with pytest.raises(InvalidSpec, match="retired config key 'window_size'"):
+            ConsolidationConfig.from_dict(
+                {"capacity": 16, "window_size": 4, "windows_per_fill": 4})
+        with pytest.raises(InvalidSpec, match="retired config key 'windows_per_fill'"):
+            ConsolidationConfig.from_dict(
+                {"capacity": 16, "window_size": 16, "windows_per_fill": 4})
         cfg = ConsolidationConfig.from_dict(
-            {"capacity": 16, "window_size": 4, "windows_per_fill": 4})
+            {"capacity": 16, "window_size": 16, "windows_per_fill": 1})
         assert cfg == ConsolidationConfig(capacity=16)
         assert ConsolidationConfig.from_dict({"capacity": 8, "window_size": 8}).capacity == 8
         with pytest.raises(InvalidSpec):

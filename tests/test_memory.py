@@ -145,10 +145,12 @@ class TestShortTermBuffer:
         buf.seed([])
         assert buf.frames == before
 
-    def test_unpush_gives_back_the_fill_and_the_source_index(self, rng):
+    def test_reset_gives_back_the_fill_and_the_source_index(self, rng):
+        # the rollback of a failed fire: the trigger goes, the fill and the
+        # trigger's source index come back
         buf, fill = self.fill_and_trigger(rng)
         assert buf.next_source_index == 5
-        buf._unpush(fill)
+        buf._reset(fill, 4)
         assert len(buf) == len(fill)
         assert all(a is b for a, b in zip(buf.frames, fill))
         assert buf.next_source_index == 4
@@ -163,9 +165,15 @@ class TestShortTermBuffer:
         buf.push(rng.standard_normal((1, 2)))
         frames = buf.drain()
         assert len(frames) == 2 and len(buf) == 0
-        buf._restore(frames)
+        buf._reset(frames, buf.next_source_index)
         assert buf.frames == tuple(frames)
         assert buf.next_source_index == 2
+
+    def test_reset_refuses_a_frame_of_another_shape(self, rng):
+        buf = ShortTermBuffer(3, 1, 2)
+        with pytest.raises(ShapeMismatch):
+            buf._reset(make_frames(rng, 1, 1, 3), 1)
+        assert len(buf) == 0 and buf.next_source_index == 0
 
 
 def replay_appends(batches, capacity):
@@ -300,6 +308,10 @@ class TestLongTermMemory:
             mem._restore(frames, [0], 2)
         with pytest.raises(InvalidSpec):
             mem._restore(frames, [1, 0], 2)
+        with pytest.raises(InvalidSpec, match="non-negative"):
+            mem._restore(frames, [-7, 1], 2)
+        with pytest.raises(InvalidSpec, match="next_position_id 1 is not past the last id"):
+            mem._restore(frames, [0, 1], 1)
 
 
 class TestPositionalTable:

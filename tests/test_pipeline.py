@@ -289,7 +289,7 @@ class TestFailedConsolidationKeepsState:
 class TestCounters:
     def test_derived_counters_are_read_only(self):
         pipe = Pipeline(1, 3)
-        for name in ("frames_pushed", "consolidation_output_total"):
+        for name in ("frames_pushed", "consolidation_output_total", "peak_resident_frames"):
             with pytest.raises(AttributeError):
                 setattr(pipe, name, 5)
             assert getattr(pipe, name) == 0
@@ -467,6 +467,36 @@ class TestAccounting:
             pipe.step(rng.standard_normal((1, 4)))
         pipe.flush()
         assert 17 <= pipe.peak_resident_frames <= 16 + 8 + 16 + 4
+
+    @pytest.mark.parametrize("reinit_mode", ["merged_tokens", "none"])
+    def test_peak_view_equals_the_per_step_tracker(self, reinit_mode):
+        class Tracked(Pipeline):
+            # the reference: the peak as it was tracked before it became a
+            # view, raised by every bank and after every step and flush
+            tracked = 0
+
+            def _bank(self, window, out):
+                resident = len(self.short) + len(self.long) + len(window) + len(out)
+                super()._bank(window, out)
+                self.tracked = max(self.tracked, resident)
+
+            def note_resident(self):
+                self.tracked = max(self.tracked, len(self.short) + len(self.long))
+                return self.peak_resident_frames == self.tracked
+
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            capacity = int(rng.integers(2, 20))
+            cfg = ConsolidationConfig(capacity=capacity,
+                                      base_target=int(rng.integers(1, capacity)))
+            question = rng.standard_normal(3) if rng.random() < 0.5 else None
+            pipe = Tracked(2, 3, cfg, question=question,
+                           ltm_capacity=int(rng.integers(1, 12)), reinit_mode=reinit_mode)
+            for _ in range(int(rng.integers(1, 4 * capacity))):
+                pipe.step(rng.standard_normal((2, 3)))
+                assert pipe.note_resident()
+            pipe.flush()
+            assert pipe.note_resident()
 
     def test_record_dict(self):
         d = Pipeline(1, 4).bytes_model().to_dict()

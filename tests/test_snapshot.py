@@ -25,6 +25,7 @@ from mces import (
     write_stream,
 )
 from mces import snapshot, streamio
+from mces.cli import main
 
 Q = np.array([0.6, 0.8, 0.0, 0.0])
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -97,6 +98,34 @@ class TestExport:
         pipe = small_pipeline(rng)
         export_pipeline(pipe, str(tmp_path / "s.json"))
         assert seen == [(False, len(pipe.long) + len(pipe.short))]
+
+    def test_store_beyond_float32_refused_before_any_file(self, tmp_path, rng):
+        # an earlier snapshot at the path stays as it was, and loadable
+        jp, _ = export_pipeline(small_pipeline(rng), str(tmp_path / "snap.json"))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        pipe = Pipeline(2, 3, reinit_mode="none")
+        for _ in range(20):
+            pipe.step(rng.standard_normal((2, 3)) * 1e40)
+        with pytest.raises(NonFiniteValue, match="frame 0 .*float32 range") as caught:
+            export_pipeline(pipe, jp)
+        assert caught.value.frame_index == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        import_pipeline(jp)
+
+    def test_float32_range_edge_is_the_cast_to_infinity(self, tmp_path):
+        # the largest float64 that rounds to a finite float32 is written; the
+        # next one up rounds to infinity and is refused, naming its frame
+        edge = 2.0 ** 128 - 2.0 ** 103
+        pipe = Pipeline(2, 3, reinit_mode="none")
+        pipe.step(np.ones((2, 3)))
+        pipe.step(np.array([[1.0, 1.0, 1.0], [1.0, -np.nextafter(edge, 0), 1.0]]))
+        export_pipeline(pipe, str(tmp_path / "ok.json"))
+        assert read_stream(tmp_path / "ok.mces")[1][1, 1, 1] == -np.finfo(np.float32).max
+        pipe.step(np.array([[1.0, 1.0, 1.0], [1.0, -edge, 1.0]]))
+        with pytest.raises(NonFiniteValue) as caught:
+            export_pipeline(pipe, str(tmp_path / "bad.json"))
+        assert caught.value.frame_index == 2
+        assert not (tmp_path / "bad.json").exists()
 
     def test_empty_pipeline_has_no_sidecar(self, tmp_path):
         pipe = Pipeline(2, 4)
@@ -436,6 +465,26 @@ class TestFormatOneFixture:
             doc["short"]["frames"][-1]["provenance"] = [[37, 38, 1]]
         with pytest.raises(InvalidSpec, match="reach past short.next_source_index 37"):
             import_pipeline(self.edited_copy(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, match, reads_sidecar", [
+        (lambda doc: doc.update(ltm_capacity=1),
+         r"long\.entries holds 2 frames, over the capacity 1", False),
+        (lambda doc: doc["long"]["entries"][1].update(provenance=[[0, 30, 1], [100, 101, 1]]),
+         "long.entries reach past short.next_source_index 37", True),
+        (lambda doc: doc["counters"].update(peak_resident_frames=8),
+         "peak_resident_frames 8 is below the 9 frames held", True),
+    ], ids=["long_term_over_capacity", "long_term_provenance_past_the_source_index",
+            "peak_below_the_frames_held"])
+    def test_state_no_run_reaches_refused(self, tmp_path, capsys, opened, edit, match,
+                                          reads_sidecar):
+        # the fixture holds 2 long-term entries and 7 buffered frames of 37
+        # pushed, and records a peak of 19
+        path = self.edited_copy(tmp_path, edit)
+        with pytest.raises(InvalidSpec, match=match):
+            import_pipeline(path)
+        assert len(opened) == int(reads_sidecar)
+        assert main(["inspect", "--snapshot", path]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_over_capacity_short_term_refused_before_the_sidecar(self, tmp_path, opened):
         # the fixture buffers 7 frames; a 6-frame buffer cannot hold them
