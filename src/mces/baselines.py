@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EmptyInput, InvalidLambda, InvalidSpec
-from .frames import WeightedFrame, _first_below_floor, _row_norms, unit_interval
+from .frames import WeightedFrame, _first_below_floor, _row_norms
 
 __all__ = [
     "POLICY_IDS",
@@ -78,8 +78,7 @@ def spatial_pool(frames) -> list[WeightedFrame]:
     for i, f in enumerate(_iter_frames(frames)):
         pooled = np.asarray(f, dtype=np.float64).mean(axis=0, keepdims=True)
         _warn_if_degenerate(pooled, f"spatial_pool frame {i}")
-        out.append(WeightedFrame(tokens=pooled, weight=1,
-                                 provenance=unit_interval(i)))
+        out.append(WeightedFrame.from_tokens(pooled, i))
     return out
 
 

@@ -18,10 +18,11 @@ together (``WeightedFrame.norms``). A pair similarity of two frames computes
 only the row dots, and still raises ZeroNorm on every call that meets such a
 row. A merged frame is valid by construction: ``weighted_merge`` builds it
 without the copy and re-validation, and fills its norms and floor check at
-once. A pushed frame (``from_tokens``) is validated once by
-``as_token_matrix`` and takes its unit provenance as known. Bare matrices
-given to ``frame_pair_similarity`` or ``frame_descriptor`` are wrapped with
-``from_tokens`` first, so a non-finite value or an empty axis is refused.
+once. A pushed frame costs one check and one copy (``as_token_matrix``);
+``ShortTermBuffer.push`` then compares its shape and sets its unit
+provenance itself. ``from_tokens`` builds a frame the same way from a
+caller's index; it wraps bare matrices given to ``frame_pair_similarity`` or
+``frame_descriptor``, so a non-finite value or an empty axis is refused.
 
 ``as_token_matrix`` refuses two things besides a wrong shape: a non-finite
 entry, and a matrix whose float64 sum of squares is above half the largest
@@ -80,6 +81,7 @@ NORM_FLOOR = 1e-12
 _SUMSQ_MAX = sys.float_info.max / 2
 
 Interval = tuple[int, int, int]
+_F32 = np.dtype(np.float32)
 
 
 def as_token_matrix(x) -> np.ndarray:
@@ -94,24 +96,26 @@ def as_token_matrix(x) -> np.ndarray:
     A float32 frame with entries near 1e19 and up overflows its float32 sum
     of squares and is accepted after the scan, but numpy warns "overflow
     encountered in dot": ``np.errstate`` would cost about 1.5 us against a
-    5.5 us step, and float64 ``einsum`` over 6x the dot, so the warning stays.
+    4.5 us step, and float64 ``einsum`` over 6x the dot, so the warning stays.
 
     Raises:
         DimensionMismatch: wrong rank or an empty axis.
         ValueError: non-finite entries, or a norm that overflows.
     """
-    a = np.array(x, dtype=np.float64, order="C")
+    # astype copies an exact ndarray as np.array does, at less call overhead;
+    # a C-contiguous float32 one is summed as it is: widening is exact, and it
+    # is half the bytes and still in cache after the copy
+    if type(x) is np.ndarray:
+        a = x.astype(np.float64, order="C")
+        v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else a.ravel()
+    else:
+        a = np.array(x, dtype=np.float64, order="C")
+        v = a.ravel()
     if a.ndim != 2:
         raise DimensionMismatch(f"token matrix must be 2-D, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if not a.size:
         raise DimensionMismatch(f"token matrix axes must be >= 1, got shape {a.shape}")
-    # a sum of squares in range vouches for every entry; else test each entry.
-    # A C-contiguous float32 input is summed as it is: widening is exact, and
-    # it is half the bytes and still in cache after the copy
-    if type(x) is np.ndarray and x.dtype == np.float32 and x.flags.c_contiguous:
-        v = x.ravel()
-    else:
-        v = a.ravel()
+    # a sum of squares in range vouches for every entry; else test each entry
     if not float(v.dot(v)) <= _SUMSQ_MAX:
         if not np.isfinite(a).all():
             raise ValueError("token matrix contains non-finite values")
@@ -224,13 +228,16 @@ class WeightedFrame:
 
     @classmethod
     def _trusted(cls, tokens: np.ndarray, weight: int, provenance: tuple[Interval, ...],
-                 context_flag: bool, **cached) -> "WeightedFrame":
+                 context_flag: bool, norms: np.ndarray | None = None,
+                 _bad_row: int = -1) -> "WeightedFrame":
         # a frame valid by construction, without __post_init__'s copy and
         # checks: tokens read-only finite float64 C-contiguous, provenance
-        # valid with mass == weight; cached holds tokens' norms and _bad_row, or neither
+        # valid with mass == weight; norms and _bad_row as .norms fills them
         frame = object.__new__(cls)
         frame.__dict__.update(tokens=tokens, weight=weight, provenance=provenance,
-                              context_flag=context_flag, **cached)
+                              context_flag=context_flag)
+        if norms is not None:
+            frame.__dict__.update(norms=norms, _bad_row=_bad_row)
         return frame
 
     @classmethod
@@ -260,7 +267,7 @@ class WeightedFrame:
         if self.context_flag:
             return self
         return WeightedFrame._trusted(self.tokens, self.weight, self.provenance, True,
-                                      norms=self.norms, _bad_row=self._bad_row)
+                                      self.norms, self._bad_row)
 
 
 def _vector(u) -> np.ndarray:
@@ -385,4 +392,4 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     norms.setflags(write=False)
     return WeightedFrame._trusted(
         tokens, total, merge_provenance(a.provenance, b.provenance),
-        a.context_flag and b.context_flag, norms=norms, _bad_row=_first_below_floor(norms))
+        a.context_flag and b.context_flag, norms, _first_below_floor(norms))

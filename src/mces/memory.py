@@ -33,10 +33,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .consolidation import _merge_down
-from .frames import WeightedFrame, frame_pair_similarity
-# unused here; kept only so bench/spans.py can wrap memory.as_token_matrix
-# and memory.weighted_merge
-from .frames import as_token_matrix, weighted_merge  # noqa: F401
+from .frames import WeightedFrame, as_token_matrix, frame_pair_similarity
+# unused here; kept only so bench/spans.py can wrap memory.weighted_merge
+from .frames import weighted_merge  # noqa: F401
 
 __all__ = [
     "ShortTermBuffer",
@@ -60,8 +59,7 @@ class ShortTermBuffer:
         if n_tokens < 1 or dims < 1:
             raise InvalidSpec(f"bad frame shape ({n_tokens}, {dims})")
         self.capacity = capacity
-        self.n_tokens = n_tokens
-        self.dims = dims
+        self.n_tokens, self.dims = self._shape = (n_tokens, dims)
         self._frames: list[WeightedFrame] = []
         self._next_source_index = 0
 
@@ -77,9 +75,8 @@ class ShortTermBuffer:
         return self._next_source_index
 
     def _check_shape(self, tokens: np.ndarray) -> None:
-        if tokens.shape != (self.n_tokens, self.dims):
-            raise ShapeMismatch(
-                f"frame shape {tokens.shape} != configured ({self.n_tokens}, {self.dims})")
+        if tokens.shape != self._shape:
+            raise ShapeMismatch(f"frame shape {tokens.shape} != configured {self._shape}")
 
     def push(self, frame) -> list[WeightedFrame] | None:
         """Push one raw frame.
@@ -87,11 +84,16 @@ class ShortTermBuffer:
         Returns None while the buffer accepts, or the popped fill (exactly
         ``capacity`` frames) when this push would overflow. The pushed frame
         is not part of the popped fill; it becomes the first element of the
-        next one. Each push consumes one source index for provenance.
+        next one. Each accepted push consumes one source index for provenance;
+        a refused one (bad values, then a wrong shape) consumes none.
         """
-        wrapped = WeightedFrame.from_tokens(frame, self._next_source_index)
-        self._check_shape(wrapped.tokens)
-        self._next_source_index += 1
+        tokens = as_token_matrix(frame)
+        if tokens.shape != self._shape:
+            self._check_shape(tokens)  # raises ShapeMismatch
+        # the index is never negative, so unit_interval's check is not repeated
+        i = self._next_source_index
+        wrapped = WeightedFrame._trusted(tokens, 1, ((i, i + 1, 1),), False)
+        self._next_source_index = i + 1
         if len(self._frames) >= self.capacity:
             popped = self._frames
             self._frames = [wrapped]
@@ -143,8 +145,7 @@ class LongTermMemory:
         if capacity < 1:
             raise InvalidSpec(f"long-term capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.n_tokens = n_tokens
-        self.dims = dims
+        self.n_tokens, self.dims = self._shape = (n_tokens, dims)
         self._entries: list[WeightedFrame] = []
         self._position_ids: list[int] = []
         self._next_position_id = 0
@@ -170,10 +171,8 @@ class LongTermMemory:
 
     def _push_entry(self, frame: WeightedFrame) -> None:
         # append one entry and the similarity to its left neighbor
-        if frame.tokens.shape != (self.n_tokens, self.dims):
-            raise ShapeMismatch(
-                f"entry shape {frame.tokens.shape} != configured "
-                f"({self.n_tokens}, {self.dims})")
+        if frame.tokens.shape != self._shape:
+            raise ShapeMismatch(f"entry shape {frame.tokens.shape} != configured {self._shape}")
         if self._entries:
             self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
         self._entries.append(frame)

@@ -249,6 +249,12 @@ class Pipeline:
             if counters[view] != getattr(self, view):
                 raise InvalidSpec(
                     f"{store} {getattr(self, view)} != counters.{view} {counters[view]}")
+        # each fill turns at least one input frame into at least one output
+        run, out, seen = (counters[name] for name in (
+            "consolidations_run", "consolidation_output_total", "consolidation_input_total"))
+        if not run <= out <= seen:
+            raise InvalidSpec(f"counters break consolidations_run {run} <= consolidation_"
+                              f"output_total {out} <= consolidation_input_total {seen}")
         peak, held = counters["peak_resident_frames"], len(self.short) + len(self.long)
         if peak < held:
             raise InvalidSpec(f"peak_resident_frames {peak} is below the {held} frames held")

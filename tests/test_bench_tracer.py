@@ -42,6 +42,7 @@ def test_tracer_sees_the_question_gate_and_compaction():
     calls = {name: sums[0] for name, sums in tracer.stats["job"].items()}
     for name in ("consolidation.relevance_score", "consolidation.greedy_merge",
                  "frames.frame_pair_similarity", "frames.weighted_merge",
-                 "memory.overflow_compact"):
+                 "memory.overflow_compact", "frames.as_token_matrix",
+                 "memory.ShortTermBuffer.push"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts["job"]["overflow_compact.merges"] > 0

@@ -78,9 +78,12 @@ class TestTokenMatrix:
          for content in ("unit", "near-1e20", "nan", "inf", "-inf")]
         + [("int64", layout, "unit") for layout in ("c", "strided", "fortran")]
         + [("list", "c", content) for content in ("unit", "near-1e20", "nan", "inf", "-inf")]
+        # inputs an astype copy must treat as np.array does
+        + [(dtype, "c", "unit") for dtype in (">f4", "matrix", "object")]
     )
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
     @pytest.mark.parametrize("dtype, layout, content", CHECK_CASES,
                              ids=["-".join(case) for case in CHECK_CASES])
     def test_check_at_every_precision_and_layout(self, rng, dtype, layout, content):
@@ -93,6 +96,8 @@ class TestTokenMatrix:
             base[1, 4] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[content]
         if dtype == "list":
             x = base.tolist()
+        elif dtype == "matrix":
+            x = np.matrix(base)
         else:
             x = base.astype(dtype)
             if layout == "strided":
@@ -111,6 +116,7 @@ class TestTokenMatrix:
         assert a.dtype == np.float64 and a.flags.c_contiguous
         assert not a.flags.writeable
         if dtype != "list":
+            assert not np.shares_memory(a, x)
             assert x.flags.writeable
             x[0, 0] = 7
             assert a[0, 0] == want[0, 0] != 7

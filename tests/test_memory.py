@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mces import (
+    DimensionMismatch,
     InvalidSpec,
     LongTermMemory,
     MemoryTooLongForTable,
@@ -71,6 +72,31 @@ class TestShortTermBuffer:
         buf = ShortTermBuffer(2, 1, 2)
         with pytest.raises(ValueError):
             buf.push(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("frame, error", [
+        ([[np.nan, 0.0]], "non-finite"),
+        ([1.0, 2.0], "must be 2-D"),
+        ([[np.inf, 0.0, 1.0]], "non-finite"),
+    ], ids=["non_finite", "one_dimensional", "non_finite_and_mis_shaped"])
+    def test_refused_push_consumes_nothing(self, rng, frame, error):
+        # the value and rank checks come before the shape check
+        buf = ShortTermBuffer(2, 1, 2)
+        buf.push(rng.standard_normal((1, 2)))
+        with pytest.raises((ValueError, DimensionMismatch), match=error):
+            buf.push(np.array(frame))
+        assert buf.next_source_index == 1
+        assert len(buf) == 1
+
+    def test_accepted_frame_is_one_source_frame(self, rng):
+        buf = ShortTermBuffer(8, 2, 3)
+        raw = [rng.standard_normal((2, 3)).astype(np.float32) for _ in range(5)]
+        for x in raw:
+            buf.push(x)
+        for i, (x, f) in enumerate(zip(raw, buf.frames)):
+            assert f.weight == 1
+            assert f.provenance == ((i, i + 1, 1),)
+            assert f.context_flag is False
+            assert f.tokens.tobytes() == np.array(x, np.float64).tobytes()
 
     def test_push_validates_each_frame_once(self, rng, monkeypatch):
         import mces.frames

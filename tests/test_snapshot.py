@@ -450,11 +450,16 @@ class TestFormatOneFixture:
         ({"long": {"next_position_id": 3}}, "next_position_id 3 != counters.consolidation_output"),
         ({"long": {"next_position_id": 1}, "counters": {"consolidation_output_total": 1}},
          "next_position_id 1 is not past the last id"),
+        ({"counters": {"consolidations_run": 99}},
+         "consolidations_run 99 <= consolidation_output_total 2 <= consolidation_input_total 32"),
+        ({"counters": {"consolidation_input_total": 1}},
+         "consolidations_run 2 <= consolidation_output_total 2 <= consolidation_input_total 1"),
     ], ids=["negative_counter", "negative_frames_pushed", "source_index_behind",
-            "source_index_ahead", "position_id_ahead", "position_id_not_past_last"])
+            "source_index_ahead", "position_id_ahead", "position_id_not_past_last",
+            "more_runs_than_outputs", "more_outputs_than_inputs"])
     def test_broken_bookkeeping_refused(self, tmp_path, edit, match):
-        # the fixture keeps frames_pushed = next_source_index = 37 and
-        # consolidation_output_total = next_position_id = 2
+        # the fixture keeps frames_pushed = next_source_index = 37,
+        # consolidation_output_total = next_position_id = 2, 2 runs and 32 inputs
         path = self.edited_copy(
             tmp_path, lambda doc: [doc[part].update(values) for part, values in edit.items()])
         with pytest.raises(InvalidSpec, match=match):
