@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _frame_shape(n_tokens: int, dims: int) -> tuple[int, int]:
+    # the (n_tokens, dims) a store's frames must have; InvalidSpec unless both >= 1
+    if n_tokens < 1 or dims < 1:
+        raise InvalidSpec(f"bad frame shape ({n_tokens}, {dims})")
+    return n_tokens, dims
+
+
 class ShortTermBuffer:
     """Fixed-capacity FIFO of weighted frames with overflow popping.
 
@@ -56,10 +63,8 @@ class ShortTermBuffer:
     def __init__(self, capacity: int, n_tokens: int, dims: int):
         if capacity < 1:
             raise InvalidSpec(f"capacity must be >= 1, got {capacity}")
-        if n_tokens < 1 or dims < 1:
-            raise InvalidSpec(f"bad frame shape ({n_tokens}, {dims})")
         self.capacity = capacity
-        self.n_tokens, self.dims = self._shape = (n_tokens, dims)
+        self.n_tokens, self.dims = self._shape = _frame_shape(n_tokens, dims)
         self._frames: list[WeightedFrame] = []
         self._next_source_index = 0
 
@@ -145,7 +150,7 @@ class LongTermMemory:
         if capacity < 1:
             raise InvalidSpec(f"long-term capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.n_tokens, self.dims = self._shape = (n_tokens, dims)
+        self.n_tokens, self.dims = self._shape = _frame_shape(n_tokens, dims)
         self._entries: list[WeightedFrame] = []
         self._position_ids: list[int] = []
         self._next_position_id = 0

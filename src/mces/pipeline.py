@@ -166,13 +166,8 @@ class Pipeline:
         popped = self.short.push(frame)
         if popped is None:
             return None
-        try:
-            out, report = consolidate(popped, self.question, self.cfg)
-            self._bank(popped, out)
-        except BaseException:
-            # the trigger goes and gives back its source index
-            self.short._reset(popped, self.frames_pushed - 1)
-            raise
+        # a failed fire refuses the trigger: it gives back its source index
+        out, report = self._fire(popped, self.frames_pushed - 1)
         if self.reinit_mode == "merged_tokens":
             self.short.seed(out)
             self.seeded_weight_total += sum(f.weight for f in out)
@@ -189,12 +184,7 @@ class Pipeline:
         window = self.short.drain()
         if not window:
             return None
-        try:
-            out, report = consolidate(window, self.question, self.cfg, _residue=True)
-            self._bank(window, out)
-        except BaseException:
-            self.short._reset(window, self.frames_pushed)
-            raise
+        _, report = self._fire(window, self.frames_pushed, residue=True)
         return report
 
     def run_stream(self, frames: Iterable) -> list[ConsolidationReport]:
@@ -203,14 +193,22 @@ class Pipeline:
         last = self.flush()
         return reports if last is None else reports + [last]
 
-    def _bank(self, window: list[WeightedFrame], out: list[WeightedFrame]) -> None:
-        # append a consolidated window's result to long-term memory, then
-        # count it; the append is all or nothing, so a raise counts nothing
-        resident = len(self.short) + len(self.long) + len(window) + len(out)
-        self.long.append(out)
+    def _fire(self, window: list[WeightedFrame], next_source_index: int,
+              residue: bool = False) -> tuple[list[WeightedFrame], ConsolidationReport]:
+        # consolidate a window taken from the buffer, bank the result and count
+        # it. The append is all or nothing: on any raise nothing is counted and
+        # the window goes back with next_source_index, as the pipeline was
+        try:
+            out, report = consolidate(window, self.question, self.cfg, _residue=residue)
+            resident = len(self.short) + len(self.long) + len(window) + len(out)
+            self.long.append(out)
+        except BaseException:
+            self.short._reset(window, next_source_index)
+            raise
         self.consolidations_run += 1
         self.consolidation_input_total += len(window)
         self._banked_peak = max(self._banked_peak, resident)
+        return out, report
 
     @property
     def frames_pushed(self) -> int:

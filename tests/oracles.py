@@ -121,3 +121,43 @@ def naive_extended_position(base: np.ndarray, k: int, blend: float) -> np.ndarra
         return base[k]
     i, j = divmod(k, n)
     return blend * base[i] + (1.0 - blend) * base[j]
+
+
+def naive_pipeline(frames, question, capacity, base_target, alpha, sigma, ltm_capacity):
+    """From-scratch streaming run with re-seeding off (reinit_mode "none").
+
+    Each run of ``capacity`` frames is one fill; the last run, full or not,
+    is the end-of-stream residue.  A fill is relevant when the plain mean of
+    its frames' descriptor cosines with the question is above ``sigma``;
+    otherwise its budget is ``alpha * base_target`` rounded half up, at
+    least 1.  The residue takes ``ceil(target * len / capacity)`` slots.
+    Each fill's survivors are appended with the next position ids, then the
+    store is compacted to ``ltm_capacity``.  Returns (Entry, position_id)
+    pairs.
+    """
+    frames = [np.array(f, dtype=np.float64) for f in frames]
+    q = None if question is None else np.array(question, dtype=np.float64)
+    store = []
+    next_id = 0
+    for start in range(0, len(frames), capacity):
+        fill = frames[start : start + capacity]
+        target = base_target
+        if q is not None:
+            scores = []
+            for tokens in fill:
+                d = tokens.mean(axis=0)
+                d = d / np.sqrt(np.sum(d * d))
+                scores.append(np.sum(d * q) / np.sqrt(np.sum(q * q)))
+            if not np.mean(scores) > sigma:
+                weak = int(np.floor(alpha * base_target + 0.5))
+                target = min(max(weak, 1), base_target)
+        if start + capacity >= len(frames):
+            target = (target * len(fill) + capacity - 1) // capacity
+            target = min(max(target, 1), len(fill))
+        # a fill merges down to its budget by the same greedy rule
+        slots = [(Entry(t, 1, {start + i: 1}), i) for i, t in enumerate(fill)]
+        for entry, _ in naive_compact(slots, target):
+            store.append((entry, next_id))
+            next_id += 1
+        store = naive_compact(store, ltm_capacity)
+    return store

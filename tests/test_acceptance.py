@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,15 +20,18 @@ from conftest import directional_frames
 from mces import (
     ConsolidationConfig,
     ExperimentSpec,
+    Pipeline,
     PositionalTable,
     SyntheticSpec,
     WeightedFrame,
     bench_mem,
     canonical_report_bytes,
+    compute_relevance_metrics,
     consolidate,
     ema,
     enumerate_collisions,
     extended_position,
+    generate_synthetic,
     greedy_merge,
     no_memory,
     plant_eval,
@@ -307,4 +311,41 @@ def test_c9_planted_relevance_survives_compaction(reinit_mode):
         f"on planted mass over 3,200 frames into a 16-entry store in "
         f"{summary['wins']}/20 paired seeds (need 18), mean diff "
         f"{summary['mean_diff']:+.4f} ({elapsed:.1f}s)",
+    )
+
+
+def test_c10_planted_relevance_at_breakpoints():
+    # c9's stream, answered in breakpoint mode: the store, the buffer and the
+    # live frame at 0, 8, 15, 100 and 300 frames after each segment ends
+    segments = tuple((s, s + 16, 0.8) for s in range(64, 3200, 400))
+    queries = {stop + offset for _, stop, _ in segments for offset in (0, 8, 15, 100, 300)}
+    aware_cfg = ConsolidationConfig()
+    agnostic_cfg = replace(aware_cfg, alpha=1.0)
+    t0 = time.perf_counter()
+    diffs = []
+    for seed in range(20):
+        frames, question = generate_synthetic(SyntheticSpec(
+            frame_count=3200, n_tokens=4, dims=16, segments=segments,
+            noise_scale=0.05, seed=seed))
+        aware, agnostic = (Pipeline(4, 16, cfg, question=question, ltm_capacity=16,
+                                    reinit_mode="none")
+                           for cfg in (aware_cfg, agnostic_cfg))
+        seed_diffs = []
+        for t, frame in enumerate(frames):
+            aware.step(frame)
+            agnostic.step(frame)
+            if t in queries:
+                aware_mass, agnostic_mass = (
+                    compute_relevance_metrics(
+                        pipe.assemble_breakpoint(t).frames, segments).relevant_mass_fraction
+                    for pipe in (aware, agnostic))
+                seed_diffs.append(aware_mass - agnostic_mass)
+        diffs.append(float(np.mean(seed_diffs)))
+    elapsed = time.perf_counter() - t0
+    wins = sum(diff > 0 for diff in diffs)
+    report(
+        wins == 20,
+        f"10. at breakpoints after each planted segment, question-aware beats "
+        f"question-agnostic on planted mass in {wins}/20 paired seeds (need 20), "
+        f"mean diff {np.mean(diffs):+.4f} ({elapsed:.1f}s)",
     )

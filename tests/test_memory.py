@@ -32,6 +32,12 @@ class TestShortTermBuffer:
         with pytest.raises(InvalidSpec):
             ShortTermBuffer(4, 0, 2)
 
+    @pytest.mark.parametrize("store", [ShortTermBuffer, LongTermMemory])
+    @pytest.mark.parametrize("shape", [(0, -3), (3, 0)])
+    def test_both_stores_refuse_a_bad_frame_shape(self, store, shape):
+        with pytest.raises(InvalidSpec, match="bad frame shape"):
+            store(5, *shape)
+
     def test_push_pops_only_on_overflow(self, rng):
         buf = ShortTermBuffer(2, 1, 3)
         a, b, c = (rng.standard_normal((1, 3)) for _ in range(3))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from mces import (
     ConsolidationConfig,
     InvalidSpec,
@@ -475,10 +476,11 @@ class TestAccounting:
             # view, raised by every bank and after every step and flush
             tracked = 0
 
-            def _bank(self, window, out):
-                resident = len(self.short) + len(self.long) + len(window) + len(out)
-                super()._bank(window, out)
-                self.tracked = max(self.tracked, resident)
+            def _fire(self, window, next_source_index, residue=False):
+                held = len(self.short) + len(self.long) + len(window)
+                out, report = super()._fire(window, next_source_index, residue)
+                self.tracked = max(self.tracked, held + len(out))
+                return out, report
 
             def note_resident(self):
                 self.tracked = max(self.tracked, len(self.short) + len(self.long))
@@ -502,3 +504,63 @@ class TestAccounting:
         d = Pipeline(1, 4).bytes_model().to_dict()
         assert set(d) == {"raw_bytes_per_frame", "amortized_bytes_per_frame",
                           "peak_resident_bytes"}
+
+
+class TestWholePipelineOracle:
+    """Pipeline under reinit_mode="none" against oracles.naive_pipeline."""
+
+    # every (capacity, base_target) with capacity 2..8
+    BUDGETS = [(k, m) for k in range(2, 9) for m in range(1, k + 1)]
+
+    @staticmethod
+    def tie_frame(r, n_tokens):
+        # c3's construction: one row of squared norm 16 whose first entry is
+        # 1, times a power of two, scores exactly 0.25 against the first axis
+        row = np.concatenate(([1.0], r.permutation([3.0, 2.0, 1.0, 1.0])))
+        return np.tile(row * 2.0 ** int(r.integers(-2, 3)), (n_tokens, 1))
+
+    def case(self, i):
+        r = np.random.default_rng(21_000 + i)
+        capacity, base_target = self.BUDGETS[i % len(self.BUDGETS)]
+        alpha = float(r.choice([0.25, 0.5, 1.0]))
+        n_tokens, frame_count = int(r.integers(1, 4)), int(r.integers(1, 80))
+        if i % 4 == 0:
+            # fills that score exactly sigma, among random ones
+            dims, sigma = 5, 0.25
+            question = np.eye(5)[0] * 2.0 ** int(r.integers(-2, 3))
+            tie_fill = r.random(frame_count // capacity + 1) < 0.6
+            frames = [self.tie_frame(r, n_tokens) if tie_fill[t // capacity]
+                      else r.standard_normal((n_tokens, dims)) for t in range(frame_count)]
+        else:
+            dims, sigma = int(r.integers(2, 7)), float(r.uniform(-0.3, 0.5))
+            question = r.standard_normal(dims) if r.random() < 0.5 else None
+            frames = [r.standard_normal((n_tokens, dims)) for _ in range(frame_count)]
+        if i % 2:
+            frames = [f.astype(np.float32) for f in frames]
+            question = None if question is None else question.astype(np.float32)
+        cfg = ConsolidationConfig(capacity=capacity, base_target=base_target,
+                                  alpha=alpha, sigma=sigma)
+        return n_tokens, dims, cfg, question, int(r.integers(1, 12)), frames
+
+    def test_matches_the_oracle_on_300_seeded_configs(self):
+        mismatched, ties = [], 0
+        for i in range(300):
+            n_tokens, dims, cfg, question, ltm_capacity, frames = self.case(i)
+            pipe = Pipeline(n_tokens, dims, cfg, question=question,
+                            ltm_capacity=ltm_capacity, reinit_mode="none")
+            reports = pipe.run_stream(frames)
+            # fills at exactly sigma, where the weak budget differs from the full one
+            if cfg.weak_target() < cfg.base_target:
+                ties += sum(rep.relevance == cfg.sigma for rep in reports)
+            want = oracles.naive_pipeline(frames, question, cfg.capacity, cfg.base_target,
+                                          cfg.alpha, cfg.sigma, ltm_capacity)
+            got = list(zip(pipe.long.entries, pipe.long.position_ids))
+            if len(got) != len(want) or not all(
+                    np.array_equal(frame.tokens, entry.tokens)
+                    and frame.weight == entry.weight
+                    and oracles.prov_counter(frame.provenance) == entry.sources
+                    and pid == want_id
+                    for (frame, pid), (entry, want_id) in zip(got, want)):
+                mismatched.append(i)
+        assert mismatched == []
+        assert ties > 0
