@@ -82,18 +82,18 @@ def _parse_question(value):
         if not os.path.exists(value):
             return [float(v) for v in value.split(",") if v.strip()]
         if value.endswith(".npy"):
-            return [float(v) for v in np.load(value).reshape(-1)]
+            return np.load(value).reshape(-1)
         if value.endswith(".mces"):
             _, q, frames = iter_stream(value)
             frames.close()
             if q is None:
                 raise ConfigError(f"{value!r} carries no question vector")
-            return [float(v) for v in q]
+            return q
         with open(value, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, list):
             raise ConfigError(f"question {value!r} does not hold a JSON list")
-        return [float(v) for v in doc]
+        return doc  # its elements are read as the spec reads a config's
 
 
 def _parse_segments(value):
@@ -218,6 +218,8 @@ def _cmd_inspect(args) -> int:
         print(f"  frame norm min {norms.min():.4f} mean {norms.mean():.4f} "
               f"max {norms.max():.4f}")
         return 0
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     if args.snapshot:
         # the one snapshot reader: anything it cannot resume is refused
         pipe = import_pipeline(args.snapshot)

@@ -3,8 +3,9 @@
 Everything raised on purpose derives from :class:`McesError` so callers can
 catch one base. The CLI maps subfamilies to exit codes: configuration
 problems exit 2, I/O and container-format problems exit 3, failed assertion
-gates exit 4. :func:`checked` is the one type rule for settings read from
-flags, config files and snapshots.
+gates exit 4. One rule reads each outside value: :func:`checked` a scalar
+(a flag, a config or snapshot field, a question element), and the frame
+check ``mces.frames.as_token_matrix`` a token matrix or, as one row, a vector.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroNorm
+from .errors import DimensionMismatch, ZeroNorm, checked
 
 __all__ = [
     "NORM_FLOOR",
@@ -153,18 +153,6 @@ def provenance_mass(intervals: Iterable[Interval]) -> int:
     return sum((stop - start) * count for start, stop, count in intervals)
 
 
-def validate_provenance(intervals: Sequence[Interval]) -> None:
-    prev_stop = None
-    for start, stop, count in intervals:
-        if start < 0 or stop <= start:
-            raise ValueError(f"bad provenance interval ({start}, {stop}, {count})")
-        if count < 1:
-            raise ValueError(f"provenance count must be >= 1, got {count}")
-        if prev_stop is not None and start < prev_stop:
-            raise ValueError("provenance intervals overlap or are out of order")
-        prev_stop = stop
-
-
 def merge_provenance(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Interval, ...]:
     """Union of two provenance records, summing multiplicities.
 
@@ -199,14 +187,14 @@ def merge_provenance(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Inte
     return tuple((s, e, c) for s, e, c in out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedFrame:
     """An (N, D) token matrix plus merge bookkeeping.
 
     weight counts the source frames this frame stands for (>= 1, with
     multiplicity). context_flag marks frames injected as carried-over context
     rather than read from the stream; merging keeps the flag only if both
-    parents carry it.
+    parents carry it. Frames compare and hash by identity.
     """
 
     tokens: np.ndarray
@@ -216,15 +204,23 @@ class WeightedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", as_token_matrix(self.tokens))
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
-        prov = tuple(tuple(int(v) for v in iv) for iv in self.provenance)
-        validate_provenance(prov)
-        if provenance_mass(prov) != self.weight:
-            raise ValueError(
-                f"provenance mass {provenance_mass(prov)} != weight {self.weight}"
-            )
-        object.__setattr__(self, "provenance", prov)
+        weight = checked("weight", int, self.weight)
+        if weight < 1:
+            raise ValueError(f"weight must be >= 1, got {weight}")
+        prov = []
+        for interval in self.provenance:
+            start, stop, count = (checked("provenance", int, v) for v in interval)
+            if start < 0 or stop <= start:
+                raise ValueError(f"bad provenance interval ({start}, {stop}, {count})")
+            if count < 1:
+                raise ValueError(f"provenance count must be >= 1, got {count}")
+            if prov and start < prov[-1][1]:
+                raise ValueError("provenance intervals overlap or are out of order")
+            prov.append((start, stop, count))
+        if provenance_mass(prov) != weight:
+            raise ValueError(f"provenance mass {provenance_mass(prov)} != weight {weight}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "provenance", tuple(prov))
 
     @classmethod
     def _trusted(cls, tokens: np.ndarray, weight: int, provenance: tuple[Interval, ...],
@@ -271,12 +267,12 @@ class WeightedFrame:
 
 
 def _vector(u) -> np.ndarray:
-    a = np.asarray(u, dtype=np.float64)
+    # a 1-D vector checked and copied as a one-row token matrix; an empty one
+    # is left to the caller's shape or norm test
+    a = np.asarray(u)
     if a.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("vector contains non-finite values")
-    return a
+    return as_token_matrix(a.reshape(1, -1))[0] if a.size else np.zeros(0)
 
 
 def cosine(u, v) -> float:

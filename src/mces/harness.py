@@ -33,7 +33,7 @@ from .errors import (
     checked,
 )
 from .frames import WeightedFrame
-from .pipeline import REINIT_MODES, Pipeline
+from .pipeline import REINIT_MODES, Pipeline, _question
 from .streamio import SyntheticSpec, generate_synthetic, iter_stream, iter_synthetic
 # unused here; kept only so bench/spans.py can wrap harness.read_stream
 from .streamio import read_stream  # noqa: F401
@@ -130,9 +130,8 @@ class ExperimentSpec:
         object.__setattr__(self, "policies", tuple(self.policies))
         object.__setattr__(self, "seeds", seeds)
         if self.question is not None:
-            question = tuple(float(v) for v in self.question)
-            if not all(math.isfinite(v) for v in question):
-                raise InvalidSpec("question vector is not finite")
+            _question(self.question)  # finite, in range and 1-D, as the pipeline reads it
+            question = tuple(checked("question", float, v) for v in self.question)
             object.__setattr__(self, "question", question)
 
     def to_dict(self) -> dict:

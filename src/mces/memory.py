@@ -225,8 +225,8 @@ class LongTermMemory:
         self._pair_sims = []
         for frame in entries:
             self._push_entry(frame)
-        self._position_ids = [int(p) for p in position_ids]
-        self._next_position_id = int(next_position_id)
+        self._position_ids = list(position_ids)
+        self._next_position_id = next_position_id
 
 
 @dataclass(frozen=True)

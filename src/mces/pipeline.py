@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .consolidation import (
     ConsolidationConfig,
     ConsolidationReport,
@@ -42,7 +40,7 @@ from .errors import (
     StaleTimestamp,
     ZeroNorm,
 )
-from .frames import NORM_FLOOR, WeightedFrame
+from .frames import NORM_FLOOR, WeightedFrame, _norm, _vector
 from .memory import LongTermMemory, ShortTermBuffer
 
 __all__ = [
@@ -67,6 +65,14 @@ COUNTERS = (
 )
 
 BYTES_PER_VALUE = 4
+
+
+def _question(question):
+    # the question's read-only float64 copy (frames._vector), or InvalidSpec
+    try:
+        return _vector(question)
+    except ValueError as exc:
+        raise InvalidSpec(f"question vector is not finite in float64: {exc}") from exc
 
 
 def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationConfig,
@@ -137,12 +143,10 @@ class Pipeline:
                 f"fill would seed {cfg.base_target} >= {cfg.capacity} frames")
         self.question = None
         if question is not None:
-            q = np.asarray(question, dtype=np.float64)
-            if q.ndim != 1 or q.shape[0] != dims:
+            q = _question(question)
+            if q.shape[0] != dims:
                 raise InvalidSpec(f"question shape {q.shape} does not match dims {dims}")
-            if not np.isfinite(q).all():
-                raise InvalidSpec("question vector is not finite")
-            if float(np.linalg.norm(q)) < NORM_FLOOR:
+            if _norm(q) < NORM_FLOOR:
                 raise ZeroNorm("question vector has near-zero norm")
             self.question = q
         self.cfg = cfg

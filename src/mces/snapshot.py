@@ -12,8 +12,9 @@ and import reads it one chunk at a time, rebuilding each entry as its frame
 arrives, so neither holds more of it than one chunk. Export refuses a token
 outside the container's float32 range before it opens either file.
 
-Import refuses, with InvalidSpec, what could not resume. Here: a bad key or
-type, and, before the sidecar is opened, a store listed over its capacity.
+Import refuses, with InvalidSpec, what could not resume. Here: a missing key
+or a mistyped value (a scalar by :func:`mces.errors.checked`), and, before
+the sidecar is opened, a store listed over its capacity.
 :meth:`LongTermMemory._restore` checks its ids, :meth:`Pipeline._restore`
 the counters against the stores and every provenance against frames_pushed.
 """
@@ -27,7 +28,7 @@ from contextlib import closing
 import numpy as np
 
 from .consolidation import ConsolidationConfig, _check_keys
-from .errors import InvalidSpec, IoFailure, NonFiniteValue, ShapeMismatch
+from .errors import InvalidSpec, IoFailure, NonFiniteValue, ShapeMismatch, checked
 from .frames import WeightedFrame
 from .pipeline import COUNTERS, Pipeline
 from .streamio import _F32_EDGE, iter_stream, write_stream
@@ -140,9 +141,11 @@ def _sidecar_frames(doc: dict, json_path: str, expected: int):
 
 
 def _field(doc: dict, key: str, kind, where: str = "snapshot"):
-    # doc[key], or InvalidSpec naming the key when it is missing or mistyped
-    if key not in doc:
+    # doc[key] or InvalidSpec naming the key; an int or a bool is read by checked
+    if not isinstance(doc, dict) or key not in doc:
         raise InvalidSpec(f"{where} lacks key {key!r}")
+    if kind in (int, bool):
+        return checked(f"{where} key {key!r}", kind, doc[key])
     if not isinstance(doc[key], kind):
         raise InvalidSpec(f"{where} key {key!r} holds a {type(doc[key]).__name__}")
     return doc[key]
@@ -150,12 +153,8 @@ def _field(doc: dict, key: str, kind, where: str = "snapshot"):
 
 def _rebuild_frame(tokens, meta) -> WeightedFrame:
     try:
-        return WeightedFrame(
-            tokens=tokens,
-            weight=int(meta["weight"]),
-            provenance=tuple(tuple(iv) for iv in meta["provenance"]),
-            context_flag=bool(meta["context_flag"]),
-        )
+        return WeightedFrame(tokens, meta["weight"], meta["provenance"],
+                             _field(meta, "context_flag", bool, "frame"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad frame metadata {meta!r}: {exc!r}") from exc
 
@@ -171,15 +170,14 @@ def import_pipeline(json_path: str) -> Pipeline:
     doc = read_json(json_path, "a pipeline snapshot")
     if doc.get("kind") != "pipeline_snapshot":
         raise InvalidSpec(f"{json_path!r} is not a pipeline snapshot")
-    if doc.get("snapshot_version") != SNAPSHOT_VERSION:
-        raise InvalidSpec(f"unsupported snapshot version {doc.get('snapshot_version')}")
+    if (version := _field(doc, "snapshot_version", int)) != SNAPSHOT_VERSION:
+        raise InvalidSpec(f"unsupported snapshot version {version}")
     cfg = ConsolidationConfig.from_dict(_field(doc, "config", dict))
     question = _field(doc, "question", (list, type(None)))
-    if question is not None and not all(isinstance(v, (int, float)) for v in question):
-        raise InvalidSpec("snapshot key 'question' holds a non-number")
     pipe = Pipeline(
         _field(doc, "n_tokens", int), _field(doc, "dims", int), cfg,
-        question=None if question is None else np.asarray(question, dtype=np.float64),
+        question=None if question is None else
+        [checked("snapshot key 'question'", float, v) for v in question],
         ltm_capacity=_field(doc, "ltm_capacity", int),
         reinit_mode=_field(doc, "reinit_mode", str),
     )

@@ -202,6 +202,15 @@ class TestRun:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_question_with_overflowing_norm_exit_2(self, tmp_path, capsys):
+        # it used to run, scoring every window 0.0
+        stream = gen(tmp_path)
+        rc = main(run_args(tmp_path, stream, "--question", "1e200" + ",0" * 7))
+        assert rc == 2
+        assert "norm overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_question_from_bare_stream_exit_2(self, tmp_path):
         stream = gen(tmp_path, extra=["--no-question"])
         rc = main(run_args(tmp_path, stream, "--question", stream))
@@ -342,6 +351,8 @@ class TestRunParameters:
         ({"ltm_cap": "x"}, "ltm_cap"),
         ({"sweep": {"k": ["x"]}}, "k"),
         ({"sweep": {"l_long": [1.5]}}, "ltm_cap"),
+        ({"question": ["1", "0", "0", "0", "0", "0", "0", "0"]}, "question"),
+        ({"question": [True, False, False, False, False, False, False, False]}, "question"),
     ])
     def test_mistyped_value_names_the_parameter(self, tmp_path, capsys, overrides, name):
         cpath = write_config(tmp_path, **overrides)
@@ -653,6 +664,13 @@ class TestInspect:
             '"consolidations_run": 2, "frames_pushed": 37, "peak_resident_frames": 19, '
             '"seeded_weight_total": 47}',
         ]
+
+    def test_negative_limit_exit_2(self, capsys):
+        # a negative limit used to slice from the end and print no entry
+        path = str(Path(__file__).parent / "fixtures" / "snapshot_v1.json")
+        assert main(["inspect", "--snapshot", path, "--limit", "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--limit" in err
 
     def test_report_summary(self, tmp_path, capsys):
         stream = gen(tmp_path)

@@ -159,10 +159,11 @@ class TestRelevanceScore:
         (None, [np.inf, 0.0, 0.0], ValueError),
         (None, [1.0, np.nan, 0.0], ValueError),
         (None, [], DimensionMismatch),
+        (None, [1e200, 0.0, 0.0], ValueError),
         ([np.array([[np.inf, 1.0, 0.0]])], [1.0, 0.0, 0.0], ValueError),
         ([np.zeros((1, 0))], [1.0, 0.0, 0.0], DimensionMismatch),
         ([np.full((2, 3), 1e308)], [1.0, 0.0, 0.0], ValueError),
-    ], ids=["inf-question", "nan-question", "empty-question", "inf-frame",
+    ], ids=["inf-question", "nan-question", "empty-question", "overflowing-question", "inf-frame",
             "empty-frame", "overflowing-frame"])
     def test_refuses_what_would_give_nan(self, frames, question, error):
         with pytest.raises(error):

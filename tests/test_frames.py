@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mces import (
     DimensionMismatch,
+    InvalidSpec,
     WeightedFrame,
     ZeroNorm,
     as_token_matrix,
@@ -286,6 +287,30 @@ class TestWeightedFrame:
         with pytest.raises(ValueError):
             f.tokens[0, 0] = 9.0
 
+    @pytest.mark.parametrize("weight, provenance", [
+        (True, ((0, 1, 1),)),
+        (2, ((0, 1.9, 2),)),
+        (2, (("0", 1, 2),)),
+    ], ids=["bool-weight", "fractional-stop", "string-start"])
+    def test_weight_and_provenance_are_read_by_checked(self, weight, provenance):
+        # int() used to truncate 1.9 to 1 and a bool passed for a weight
+        with pytest.raises(InvalidSpec):
+            WeightedFrame(np.ones((1, 2)), weight, provenance)
+
+    def test_integral_float_weight_is_stored_as_int(self):
+        f = WeightedFrame(np.ones((1, 2)), 2.0, ((0, 2.0, 1),))
+        assert type(f.weight) is int and f.weight == 2
+        assert f.provenance == ((0, 2, 1),) and type(f.provenance[0][1]) is int
+        merged = weighted_merge(f, WeightedFrame.from_tokens(np.ones((1, 2)), 2))
+        assert type(merged.weight) is int
+
+    def test_frames_compare_and_hash_by_identity(self):
+        a = WeightedFrame.from_tokens(np.ones((2, 3)), 0)
+        b = WeightedFrame(np.ones((2, 3)), 1, ((0, 1, 1),))
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert len({a, b, a}) == 2
+
 
 class TestCosine:
     def test_parallel(self):
@@ -317,11 +342,13 @@ class TestCosine:
         with pytest.raises(DimensionMismatch):
             cosine(np.ones((2, 2)), np.ones(4))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("u, v, error", [
         ([np.inf, 1.0], [1.0, 0.0], ValueError),
         ([1.0, 0.0], [np.nan, 1.0], ValueError),
         ([], [], ZeroNorm),
-    ], ids=["inf", "nan", "empty"])
+        ([1e200, 0.0], [1e200, 0.0], ValueError),
+    ], ids=["inf", "nan", "empty", "overflowing-norm"])
     def test_refuses_what_would_give_nan(self, u, v, error):
         with pytest.raises(error):
             cosine(u, v)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,10 +61,23 @@ class TestConstruction:
         with pytest.raises(ZeroNorm):
             Pipeline(2, 4, question=np.zeros(4))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_question_refused(self, bad):
         with pytest.raises(InvalidSpec):
             Pipeline(2, 4, question=np.array([bad, 1.0, 0.0, 0.0]))
+
+    def test_question_scale_keeps_every_gate_decision(self, rng):
+        q = rng.standard_normal(8)
+        stream = rng.standard_normal((400, 2, 8))
+        for start in range(0, 400, 80):
+            stream[start:start + 24] += 2.0 * q  # a relevant stretch
+        decisions = []
+        for scale in (1.0, 1e100):
+            pipe = Pipeline(2, 8, question=scale * q, reinit_mode="none")
+            decisions.append([r.relevant for r in pipe.run_stream(stream)])
+        assert decisions[0] == decisions[1]
+        assert True in decisions[0] and False in decisions[0]
 
 
 class TestInputsAreCopied:
@@ -78,6 +92,16 @@ class TestInputsAreCopied:
         batch[0] = 7.0
         frame[0, 0] = 7.0
         assert all(np.array_equal(f.tokens, np.ones((2, 4))) for f in pipe.short.frames)
+
+    def test_question_is_a_read_only_copy(self):
+        # a write to the caller's array after construction must not move the gate
+        q = Q4.copy()
+        pipe = Pipeline(2, 4, question=q)
+        assert pipe.question is not q
+        q[0] = -1.0
+        assert np.array_equal(pipe.question, Q4)
+        with pytest.raises(ValueError):
+            pipe.question[0] = 2.0
 
 
 class TestCadence:
@@ -216,7 +240,7 @@ class TestFlush:
 
 def exported(pipe, path):
     json_path, sidecar = export_pipeline(pipe, str(path))
-    return tuple(open(p, "rb").read() for p in (json_path, sidecar))
+    return tuple(Path(p).read_bytes() for p in (json_path, sidecar))
 
 
 class TestFailedConsolidationKeepsState:

@@ -282,6 +282,7 @@ class TestImport:
         (("counters", "bogus"), 1, "bogus"),
         (("counters", "frames_pushed"), None, "'frames_pushed'"),
         (("counters", "frames_pushed"), "5", "'frames_pushed'"),
+        (("long", "entries", 0), 5, "'position_id'"),
     ])
     def test_malformed_document_rejected(self, tmp_path, rng, path, value, match):
         # value None deletes the key at path; an empty path replaces the document
@@ -464,6 +465,27 @@ class TestFormatOneFixture:
             tmp_path, lambda doc: [doc[part].update(values) for part, values in edit.items()])
         with pytest.raises(InvalidSpec, match=match):
             import_pipeline(path)
+
+    @pytest.mark.parametrize("edits", [
+        {("long", "entries", 0, "provenance"): [[0, 16.7, 1]]},
+        {("long", "entries", 0, "weight"): 16.9, ("long", "entries", 0, "provenance"): [[0, 16.9, 1]]},
+        {("counters", "consolidations_run"): True},
+        {("long", "entries", 0, "position_id"): False},
+        {("long", "entries", 0, "context_flag"): "no"},
+        {("question", 0): True},
+        {("snapshot_version",): True},
+    ], ids=["fractional_stop", "fractional_weight_and_stop", "bool_counter", "bool_position_id",
+            "string_context_flag", "bool_question_element", "bool_version"])
+    def test_mistyped_scalar_refused(self, tmp_path, capsys, edits):
+        # each used to load: 16.7 truncated to 16, true read as 1, "no" as True
+        def edit(doc):
+            for (*parents, key), value in edits.items():
+                functools.reduce(operator.getitem, parents, doc)[key] = value
+        path = self.edited_copy(tmp_path, edit)
+        with pytest.raises(InvalidSpec):
+            import_pipeline(path)
+        assert main(["inspect", "--snapshot", path]) == 2
+        assert capsys.readouterr().err.startswith("config error")
 
     def test_buffered_provenance_past_the_source_index_refused(self, tmp_path):
         def edit(doc):
