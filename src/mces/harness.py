@@ -462,7 +462,9 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
         "amortized_within_1pct": amortized_ok,
         "gate": {"passed": bool(len(peaks) == 1 and amortized_ok)},
     }
-    return build_report(spec, rows, extra={"summary": summary})
+    # the report echoes the settings that ran, not the ones asked for
+    return build_report(replace(spec, reinit_mode="none", question=None), rows,
+                        extra={"summary": summary})
 
 
 def check_gate(report: dict) -> None:

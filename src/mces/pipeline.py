@@ -12,7 +12,8 @@ its merged frames. Assembly hands frames downstream without positions;
 Each fact has one owner. Both stores are built with the frame shape, and
 the pipeline reads it from its buffer. ``frames_pushed`` and
 ``consolidation_output_total`` are read-only views of the buffer's next
-source index and the store's next position id.
+source index and the store's next position id, and ``seeded_weight_total``
+of the weight both stores hold beyond ``frames_pushed``.
 
 Memory accounting is a model over counters, not process introspection: raw
 cost assumes 4 bytes per stored value (the container's precision), amortized
@@ -155,7 +156,6 @@ class Pipeline:
         self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
         self.consolidations_run = 0
         self.consolidation_input_total = 0
-        self.seeded_weight_total = 0
         self._banked_peak = 0
 
     # -- streaming -------------------------------------------------------
@@ -174,7 +174,6 @@ class Pipeline:
         out, report = self._fire(popped, self.frames_pushed - 1)
         if self.reinit_mode == "merged_tokens":
             self.short.seed(out)
-            self.seeded_weight_total += sum(f.weight for f in out)
         return report
 
     def flush(self) -> ConsolidationReport | None:
@@ -225,6 +224,12 @@ class Pipeline:
         return self.long.next_position_id
 
     @property
+    def seeded_weight_total(self) -> int:
+        """Weight seeded back into the buffer so far: weight is conserved, so
+        it is all weight held beyond one per frame pushed."""
+        return self.total_memory_weight() - self.frames_pushed
+
+    @property
     def peak_resident_frames(self) -> int:
         """Most frames resident at once: the banks' high-water mark, or the
         frames held now if more. Between banks the buffer only grows, so this
@@ -247,10 +252,14 @@ class Pipeline:
         if negative:
             raise InvalidSpec(f"counters {negative} are negative")
         for view, store in (("frames_pushed", "short.next_source_index"),
-                            ("consolidation_output_total", "long.next_position_id")):
+                            ("consolidation_output_total", "long.next_position_id"),
+                            ("seeded_weight_total", "the weight held beyond frames_pushed")):
             if counters[view] != getattr(self, view):
                 raise InvalidSpec(
                     f"{store} {getattr(self, view)} != counters.{view} {counters[view]}")
+        if self.reinit_mode == "none" and self.seeded_weight_total:
+            raise InvalidSpec(f"reinit_mode 'none' seeds nothing, but the stores hold "
+                              f"{self.seeded_weight_total} seeded weight")
         # each fill turns at least one input frame into at least one output
         run, out, seen = (counters[name] for name in (
             "consolidations_run", "consolidation_output_total", "consolidation_input_total"))
@@ -265,7 +274,7 @@ class Pipeline:
             if any(f.provenance[-1][1] > self.frames_pushed for f in frames):
                 raise InvalidSpec(
                     f"{where} reach past short.next_source_index {self.frames_pushed}")
-        for name in ("consolidations_run", "consolidation_input_total", "seeded_weight_total"):
+        for name in ("consolidations_run", "consolidation_input_total"):
             setattr(self, name, counters[name])
         self._banked_peak = peak
 

@@ -19,6 +19,7 @@ infinity outright.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
@@ -37,6 +38,7 @@ from .errors import (
     StreamFormatError,
     Truncated,
     UnsupportedVersion,
+    checked,
 )
 
 __all__ = [
@@ -70,12 +72,11 @@ class StreamHeader:
     has_question: bool
 
     def __post_init__(self):
-        if not 1 <= self.frame_count <= 0xFFFFFFFF:
-            raise InvalidSpec(f"frame count out of range: {self.frame_count}")
-        if not 1 <= self.n_tokens <= 0xFFFF:
-            raise InvalidSpec(f"token count out of range: {self.n_tokens}")
-        if not 1 <= self.dims <= 0xFFFF:
-            raise InvalidSpec(f"dims out of range: {self.dims}")
+        for name, top in (("frame_count", 0xFFFFFFFF), ("n_tokens", 0xFFFF), ("dims", 0xFFFF)):
+            value = checked(name, int, getattr(self, name))
+            if not 1 <= value <= top:
+                raise InvalidSpec(f"{name} out of range: {value}")
+            object.__setattr__(self, name, value)
 
     def frame_bytes(self) -> int:
         return self.n_tokens * self.dims * 4
@@ -92,9 +93,7 @@ class StreamHeader:
 
 
 def _unpack_header(raw: bytes) -> StreamHeader:
-    if len(raw) < HEADER_SIZE:
-        raise Truncated(f"header needs {HEADER_SIZE} bytes, got {len(raw)}")
-    magic, version, t, n, d, flags, reserved = _HEADER_STRUCT.unpack(raw[:HEADER_SIZE])
+    magic, version, t, n, d, flags, reserved = _HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
@@ -107,47 +106,42 @@ def _unpack_header(raw: bytes) -> StreamHeader:
                         has_question=bool(flags & _FLAG_QUESTION))
 
 
-def _as_f32_frame(frame, n_tokens: int, dims: int, index: int) -> np.ndarray:
-    a = np.asarray(frame)
-    if a.shape != (n_tokens, dims):
-        raise ShapeMismatch(
-            f"frame {index} has shape {a.shape}, header says ({n_tokens}, {dims})")
-    a = np.ascontiguousarray(a, dtype=_F32)
-    if not np.isfinite(a).all():
-        j = int(np.argwhere(~np.isfinite(a).all(axis=1))[0][0])
-        raise NonFiniteValue(f"frame {index} token {j} is not finite",
-                             frame_index=index, token_index=j)
-    return a
+def _finite(frames: np.ndarray, first: int) -> np.ndarray:
+    # (T', N, D) frames, the first of which is frame ``first``, if every value
+    # is finite; else NonFiniteValue naming the first by absolute frame and token
+    finite = np.isfinite(frames)
+    if not finite.all():
+        fi, token, _ = (int(i) for i in np.unravel_index(np.argmin(finite), frames.shape))
+        raise NonFiniteValue(f"frame {first + fi} token {token} is not finite",
+                             frame_index=first + fi, token_index=token)
+    return frames
 
 
 def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
     """Write a stream to ``sink`` (path or binary file object).
 
-    ``frames`` may be a (T, N, D) array or an iterable of (N, D) frames; the
-    iterable form needs ``frame_count`` and writes one frame at a time, so
-    arbitrarily long streams never materialize. Returns the byte count
-    written. Every value is checked finite before it hits the file.
+    ``frames`` is an iterable of (N, D) frames, written one at a time, so
+    arbitrarily long streams never materialize; it needs ``frame_count``
+    unless it is a (T, N, D) array, whose length is the default. The first
+    frame sets (N, D). Returns the byte count written. Every value is
+    checked finite before it hits the file. A path is written through
+    ``<path>.tmp``, replaced into place on success: a refused write leaves
+    the path as it was.
     """
     if isinstance(frames, np.ndarray):
         if frames.ndim != 3:
             raise ShapeMismatch(f"expected a (T, N, D) array, got shape {frames.shape}")
-        t, n, d = frames.shape
-        if frame_count is not None and frame_count != t:
-            raise ShapeMismatch(f"frame_count {frame_count} != array length {t}")
-    else:
-        if frame_count is None:
-            raise InvalidSpec("frame_count is required when frames is an iterable")
-        frames = iter(frames)
-        try:
-            first = next(frames)
-        except StopIteration:
-            raise InvalidSpec("empty frame iterable") from None
-        fa = np.asarray(first)
-        if fa.ndim != 2:
-            raise ShapeMismatch(f"expected (N, D) frames, got shape {fa.shape}")
-        t, (n, d) = frame_count, fa.shape
-        frames = itertools.chain([fa], frames)
-
+        frame_count = len(frames) if frame_count is None else frame_count
+    if frame_count is None:
+        raise InvalidSpec("frame_count is required when frames is an iterable")
+    frames = iter(frames)
+    try:
+        first = np.asarray(next(frames))
+    except StopIteration:
+        raise InvalidSpec("empty frame iterable") from None
+    if first.ndim != 2:
+        raise ShapeMismatch(f"expected (N, D) frames, got shape {first.shape}")
+    t, (n, d) = frame_count, first.shape
     header = StreamHeader(frame_count=t, n_tokens=n, dims=d,
                           has_question=question is not None)
     q32 = None
@@ -160,27 +154,34 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
             raise NonFiniteValue("question vector is not finite")
 
     own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
+    path = os.fsdecode(sink) if own else None
     try:
-        fh = open(sink, "wb") if own else sink
-    except OSError as exc:
-        raise IoFailure(f"cannot open {sink!r} for writing: {exc}") from exc
-    try:
-        written = fh.write(header.pack())
-        if q32 is not None:
-            written += fh.write(q32.tobytes())
-        count = 0
-        for i, frame in enumerate(frames):
-            if i >= t:
-                raise ShapeMismatch(f"iterable yielded more than {t} frames")
-            written += fh.write(_as_f32_frame(frame, n, d, i).tobytes())
-            count += 1
-        if count != t:
-            raise ShapeMismatch(f"iterable yielded {count} frames, expected {t}")
-    except OSError as exc:
-        raise IoFailure(f"write failed: {exc}") from exc
-    finally:
+        with open(path + ".tmp", "wb") if own else contextlib.nullcontext(sink) as fh:
+            written = fh.write(header.pack())
+            if q32 is not None:
+                written += fh.write(q32.tobytes())
+            count = 0
+            for i, frame in enumerate(itertools.chain([first], frames)):
+                if i >= t:
+                    raise ShapeMismatch(f"iterable yielded more than {t} frames")
+                a = np.asarray(frame)
+                if a.shape != (n, d):
+                    raise ShapeMismatch(
+                        f"frame {i} has shape {a.shape}, header says ({n}, {d})")
+                a = _finite(np.ascontiguousarray(a, dtype=_F32)[None], i)
+                written += fh.write(a.tobytes())
+                count += 1
+            if count != t:
+                raise ShapeMismatch(f"iterable yielded {count} frames, expected {t}")
         if own:
-            fh.close()
+            os.replace(path + ".tmp", path)
+    except BaseException as exc:
+        if own:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {sink!r}: {exc}") from exc
+        raise
     return written
 
 
@@ -218,17 +219,9 @@ def _read_head(fh):
 
 
 def _payload(raw, header: StreamHeader, first: int) -> np.ndarray:
-    # raw bytes as (T', N, D) frames, the first of which is frame ``first``;
-    # the first non-finite value is named by its absolute frame and token
-    frames = np.frombuffer(raw, dtype=_F32).reshape(-1, header.n_tokens, header.dims)
-    finite = np.isfinite(frames)
-    if not finite.all():
-        flat = int(np.argmax(~finite.reshape(-1)))
-        fi, rem = divmod(flat, header.n_tokens * header.dims)
-        raise NonFiniteValue(
-            f"frame {first + fi} token {rem // header.dims} is not finite",
-            frame_index=first + fi, token_index=rem // header.dims)
-    return frames
+    # raw bytes as checked (T', N, D) frames, the first of which is frame ``first``
+    return _finite(np.frombuffer(raw, dtype=_F32).reshape(-1, header.n_tokens, header.dims),
+                   first)
 
 
 def read_stream(source):
@@ -321,18 +314,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise InvalidSpec(f"frame_count must be >= 1, got {self.frame_count}")
-        if self.n_tokens < 1:
-            raise InvalidSpec(f"n_tokens must be >= 1, got {self.n_tokens}")
-        if self.dims < 2:
-            raise InvalidSpec(
-                f"dims must be >= 2 (orthogonal construction needs room), got {self.dims}")
-        if self.noise_scale < 0:
-            raise InvalidSpec(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        segs = tuple((int(s), int(e), float(r)) for s, e, r in self.segments)
+        # every field by errors.checked; dims >= 2 leaves room for a
+        # background direction orthogonal to the question
+        for name, kind, minimum in (("frame_count", int, 1), ("n_tokens", int, 1),
+                                    ("dims", int, 2), ("noise_scale", float, 0),
+                                    ("seed", int, 0)):
+            value = checked(name, kind, getattr(self, name))
+            if value < minimum:
+                raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
+            object.__setattr__(self, name, value)
+        segs = tuple((checked("segment start", int, s), checked("segment stop", int, e),
+                      checked("segment rho", float, r)) for s, e, r in self.segments)
         prev = 0
         for start, stop, rho in segs:
             if not (0 <= start < stop <= self.frame_count):

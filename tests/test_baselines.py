@@ -123,6 +123,10 @@ class TestNoMemory:
         with pytest.raises(EmptyInput):
             no_memory(np.zeros((0, 1, 2)))
 
+    def test_two_dimensional_array_refused(self):
+        with pytest.raises(InvalidSpec, match=r"expected \(T, N, D\) frames"):
+            no_memory(np.zeros((4, 3)))
+
 
 class TestSpatialPool:
     def test_one_token_per_frame(self, rng):

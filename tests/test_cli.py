@@ -211,6 +211,21 @@ class TestRun:
         assert "norm overflows" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_question_exit_2(self, tmp_path, capsys):
+        stream = gen(tmp_path)
+        rc = main(run_args(tmp_path, stream, "--question", ",".join(["0"] * 8)))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: question vector has near-zero norm\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_question_from_json_list(self, tmp_path):
+        stream = gen(tmp_path, extra=["--no-question"])
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps([0, 1] + [0] * 6))
+        assert main(run_args(tmp_path, stream, "--question", str(qpath))) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["spec_echo"]["question"] == [0.0, 1.0] + [0.0] * 6
+
     def test_question_from_bare_stream_exit_2(self, tmp_path):
         stream = gen(tmp_path, extra=["--no-question"])
         rc = main(run_args(tmp_path, stream, "--question", stream))
@@ -319,6 +334,17 @@ class TestBenchMem:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [r["frame_count"] for r in doc["rows"]] == [32, 64]
         assert doc["summary"]["gate"]["passed"]
+
+    @pytest.mark.parametrize("extra", [(), ("--reinit", "merged"),
+                                       ("--question", ",".join(["1"] * 4))])
+    def test_echoes_the_settings_it_ran(self, tmp_path, extra):
+        # every row runs question-agnostic with re-initialization off
+        rc = main(["bench-mem", "--config", write_config(tmp_path, synthetic={
+            "frame_count": 32, "n_tokens": 2, "dims": 4}), "--t-list", "32",
+            "--out", str(tmp_path / "out"), *extra])
+        assert rc == 0
+        echo = json.loads((tmp_path / "out" / "report.json").read_text())["spec_echo"]
+        assert (echo["reinit_mode"], echo["question"]) == ("none", None)
 
 
 class TestRunParameters:
@@ -518,6 +544,20 @@ class TestChecksBeforeAnyRow:
         assert main(["run", "--config", cpath, "--snapshot",
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+@pytest.mark.parametrize("synthetic", [
+    {"frame_count": 40, "n_tokens": 2, "dims": 8, "segments": [[0, 16.7, 0.9]]},
+    {"frame_count": True, "n_tokens": 2.5, "dims": 8},
+], ids=["fractional_segment_stop", "bool_and_fractional_counts"])
+def test_mistyped_synthetic_block_exits_2(tmp_path, capsys, command, synthetic):
+    # both used to run, the first on the segment (0, 16, 0.9)
+    out = str(tmp_path / "out")
+    argv = ["--out", out] if command == "gen" else ["--out", out, "--m0", "4", "--alpha", "1"]
+    assert main([command, "--config", write_config(tmp_path, synthetic=synthetic), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not os.path.exists(out)
 
 
 def _malformed(tmp_path, case):

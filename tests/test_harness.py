@@ -418,6 +418,12 @@ class TestBenchMem:
         with pytest.raises(InvalidSpec, match="at least one stream length"):
             bench_mem(spec, t_list=())
 
+    def test_file_stream_refused(self, tmp_path):
+        path = tmp_path / "s.mces"
+        write_stream(path, np.ones((2, 1, 2)))
+        with pytest.raises(InvalidSpec, match="synthetic stream template"):
+            bench_mem(ExperimentSpec(stream_file=str(path)))
+
 
 class TestHeldMemory:
     """Driving a pipeline for its final state holds nothing per fill."""

@@ -500,12 +500,27 @@ class TestFormatOneFixture:
          "long.entries reach past short.next_source_index 37", True),
         (lambda doc: doc["counters"].update(peak_resident_frames=8),
          "peak_resident_frames 8 is below the 9 frames held", True),
+        (lambda doc: doc["counters"].update(seeded_weight_total=3),
+         "beyond frames_pushed 47 != counters.seeded_weight_total 3", True),
+        (lambda doc: doc.update(reinit_mode="none"),
+         "reinit_mode 'none' seeds nothing, but the stores hold 47 seeded weight", True),
+        (lambda doc: doc["long"]["entries"][0].update(provenance=[[16, 16, 1]]),
+         "bad provenance interval", True),
+        (lambda doc: doc["long"]["entries"][0].update(provenance=[[0, 16, 0]]),
+         "provenance count must be >= 1", True),
+        (lambda doc: doc["long"]["entries"][0].update(provenance=[[0, 10, 1], [5, 11, 1]]),
+         "provenance intervals overlap", True),
+        (lambda doc: doc.update(sidecar=None), "snapshot lists frames but names no sidecar",
+         False),
     ], ids=["long_term_over_capacity", "long_term_provenance_past_the_source_index",
-            "peak_below_the_frames_held"])
+            "peak_below_the_frames_held", "seeded_weight_not_held", "seeded_weight_under_none",
+            "empty_provenance_interval", "zero_provenance_count", "overlapping_provenance",
+            "frames_without_sidecar"])
     def test_state_no_run_reaches_refused(self, tmp_path, capsys, opened, edit, match,
                                           reads_sidecar):
         # the fixture holds 2 long-term entries and 7 buffered frames of 37
-        # pushed, and records a peak of 19
+        # pushed, and records a peak of 19 and a seeded weight of 47: its
+        # stores hold 84, and entry 0 is 16 frames, [[0, 16, 1]]
         path = self.edited_copy(tmp_path, edit)
         with pytest.raises(InvalidSpec, match=match):
             import_pipeline(path)

@@ -15,6 +15,7 @@ from mces import (
     ConsolidationConfig,
     ExperimentSpec,
     InvalidSpec,
+    IoFailure,
     NonFiniteValue,
     ShapeMismatch,
     StreamFormatError,
@@ -63,6 +64,13 @@ class TestHeader:
             StreamHeader(frame_count=1, n_tokens=0x10000, dims=1, has_question=False)
         with pytest.raises(InvalidSpec):
             StreamHeader(frame_count=1, n_tokens=1, dims=0, has_question=False)
+
+    @pytest.mark.parametrize("frame_count", [1.5, True, "1"])
+    def test_frame_count_read_by_checked(self, tmp_path, frame_count):
+        # 1.5 used to raise struct.error from the header's pack, True to be read as 1
+        with pytest.raises(InvalidSpec, match="frame_count must be of type int"):
+            write_stream(tmp_path / "s.mces", [np.zeros((1, 2))], frame_count=frame_count)
+        assert os.listdir(tmp_path) == []
 
 
 class TestRoundTrip:
@@ -161,6 +169,42 @@ class TestWriteValidation:
         with pytest.raises(NonFiniteValue):
             write_stream(io.BytesIO(), np.zeros((1, 1, 2)),
                          question=np.array([1.0, np.inf]))
+
+
+class TestRefusedWrite:
+    """A refused write to a path leaves the path as it was, and no temp file."""
+
+    @pytest.mark.parametrize("frames, frame_count, error", [
+        ([np.zeros((1, 2))] * 2, 3, ShapeMismatch),
+        (np.zeros((3, 1, 2)), 2, ShapeMismatch),
+        (np.array([[[0.0, 0.0]], [[np.nan, 0.0]]]), None, NonFiniteValue),
+    ], ids=["short_iterable", "over_long_array", "non_finite_frame"])
+    def test_existing_file_untouched(self, tmp_path, rng, frames, frame_count, error):
+        path = tmp_path / "s.mces"
+        write_stream(path, rng.standard_normal((4, 1, 2)))
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write_stream(path, frames, frame_count=frame_count)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["s.mces"]
+
+    def test_new_path_not_created(self, tmp_path):
+        with pytest.raises(ShapeMismatch):
+            write_stream(tmp_path / "s.mces", np.zeros((3, 1, 2)), frame_count=2)
+        assert os.listdir(tmp_path) == []
+
+    def test_unwritable_path_is_an_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            write_stream(tmp_path / "missing" / "s.mces", np.zeros((1, 1, 2)))
+        assert os.listdir(tmp_path) == []
+
+    def test_success_replaces_the_file(self, tmp_path, rng):
+        path = tmp_path / "s.mces"
+        write_stream(path, rng.standard_normal((4, 1, 2)))
+        frames = rng.standard_normal((2, 1, 2)).astype(np.float32)
+        write_stream(str(path).encode(), frames)
+        assert np.array_equal(read_stream(path)[1], frames)
+        assert os.listdir(tmp_path) == ["s.mces"]
 
 
 class TestReadValidation:
@@ -428,6 +472,31 @@ class TestSyntheticSpec:
     def test_noise_sign(self):
         with pytest.raises(InvalidSpec):
             SyntheticSpec(frame_count=10, n_tokens=1, dims=2, noise_scale=-0.1)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"segments": ((0, 16.7, 0.9),)}, "segment stop must be of type int"),
+        ({"segments": ((True, 16, 0.9),)}, "segment start must be of type int"),
+        ({"segments": ((0, 16, "0.9"),)}, "segment rho must be of type float"),
+        ({"frame_count": True}, "frame_count must be of type int"),
+        ({"n_tokens": 2.5}, "n_tokens must be of type int"),
+        ({"dims": "8"}, "dims must be of type int"),
+        ({"noise_scale": float("nan")}, "noise_scale must be of type float"),
+        ({"seed": 1.5}, "seed must be of type int"),
+        ({"n_tokens": 0}, "n_tokens must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["fractional_segment_stop", "bool_segment_start", "string_rho", "bool_frame_count",
+            "fractional_n_tokens", "string_dims", "nan_noise", "fractional_seed",
+            "no_tokens", "negative_seed"])
+    def test_fields_read_by_checked(self, fields, match):
+        # the first two used to construct, as (0, 16, 0.9) and frame_count 1
+        with pytest.raises(InvalidSpec, match=match):
+            SyntheticSpec(**{"frame_count": 40, "n_tokens": 2, "dims": 8, **fields})
+
+    def test_checked_values_are_stored_as_their_type(self):
+        spec = SyntheticSpec(frame_count=np.int64(40), n_tokens=2, dims=8, noise_scale=0,
+                             segments=([0, 16, 1],))
+        assert (type(spec.frame_count), type(spec.noise_scale)) == (int, float)
+        assert spec.segments == ((0, 16, 1.0),) and type(spec.segments[0][2]) is float
 
     def test_rho_at(self):
         spec = SyntheticSpec(frame_count=10, n_tokens=1, dims=2,
