@@ -8,6 +8,7 @@ runs of the same spec can be compared byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .frames import WeightedFrame
 from .pipeline import REINIT_MODES, Pipeline, _question
-from .streamio import SyntheticSpec, generate_synthetic, iter_stream, iter_synthetic
+from .streamio import SyntheticSpec, _replacing, generate_synthetic, iter_stream, iter_synthetic
 # unused here; kept only so bench/spans.py can wrap harness.read_stream
 from .streamio import read_stream  # noqa: F401
 
@@ -536,37 +537,32 @@ def _csv_cell(value) -> str:
 
 
 def write_report(report: dict, out_dir: str, formats: Sequence[str] = ("json",)) -> list[str]:
-    """Write report.json and/or report.csv under out_dir; returns the paths."""
+    """Write report.json and/or report.csv under out_dir, replacing no path
+    until all are written (a failed write leaves the old files); returns the paths."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir!r}: {exc}") from exc
-    written = []
-    try:
+    written = [os.path.join(out_dir, f"report.{fmt}") for fmt in ("json", "csv")
+               if fmt in formats]
+    with contextlib.ExitStack() as files:
         if "json" in formats:
-            path = os.path.join(out_dir, "report.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
+            fh = files.enter_context(_replacing(written[0], "w"))
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()  # its bytes reach the file before the CSV replaces its path
         if "csv" in formats:
-            path = os.path.join(out_dir, "report.csv")
-            rows = report.get("rows", [])
             flat_rows = []
             columns: list[str] = []
-            for row in rows:
+            for row in report.get("rows", []):
                 flat: dict = {}
                 _flatten("", row, flat)
                 flat_rows.append(flat)
                 for key in flat:
                     if key not in columns:
                         columns.append(key)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                for flat in flat_rows:
-                    writer.writerow([_csv_cell(flat.get(c)) for c in columns])
-            written.append(path)
-    except OSError as exc:
-        raise IoFailure(f"cannot write report under {out_dir!r}: {exc}") from exc
+            writer = csv.writer(files.enter_context(_replacing(written[-1], "w")))
+            writer.writerow(columns)
+            for flat in flat_rows:
+                writer.writerow([_csv_cell(flat.get(c)) for c in columns])
     return written

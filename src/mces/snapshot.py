@@ -10,7 +10,7 @@ Export is deterministic: identical state produces byte-identical files.
 Both directions stream the sidecar: export writes it one frame at a time,
 and import reads it one chunk at a time, rebuilding each entry as its frame
 arrives, so neither holds more of it than one chunk. Export refuses a token
-outside the container's float32 range before it opens either file.
+outside the container's float32 range.
 
 Import refuses, with InvalidSpec, what could not resume. Here: a missing key
 or a mistyped value (a scalar by :func:`mces.errors.checked`), and, before
@@ -25,13 +25,11 @@ import json
 import os
 from contextlib import closing
 
-import numpy as np
-
 from .consolidation import ConsolidationConfig, _check_keys
-from .errors import InvalidSpec, IoFailure, NonFiniteValue, ShapeMismatch, checked
+from .errors import InvalidSpec, IoFailure, ShapeMismatch, checked
 from .frames import WeightedFrame
 from .pipeline import COUNTERS, Pipeline
-from .streamio import _F32_EDGE, iter_stream, write_stream
+from .streamio import _replacing, iter_stream, write_stream
 # unused here; kept only so bench/spans.py can wrap snapshot.read_stream
 from .streamio import read_stream  # noqa: F401
 
@@ -62,15 +60,11 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
     The sidecar (token matrices) is the JSON path with a .mces suffix, where
     :func:`import_pipeline` looks for it. It is omitted for a pipeline that
     holds no frames, since the container cannot hold zero frames. Returns
-    the paths written. A token outside the container's float32 range raises
-    NonFiniteValue before either file is opened.
+    the paths written. Neither is replaced until both are written, sidecar
+    first, so a failed export (say NonFiniteValue, for a token outside the
+    float32 range) leaves the previous snapshot.
     """
     frames = pipe.long.entries + pipe.short.frames
-    for index, frame in enumerate(frames):
-        # the sidecar holds float32: refuse what the cast would make infinite
-        if max(frame.tokens.max(), -frame.tokens.min()) >= _F32_EDGE:
-            raise NonFiniteValue(f"frame {index} is outside the container's float32 range "
-                                 f"(+-{np.finfo(np.float32).max:.7e})", frame_index=index)
     sidecar_path = os.path.splitext(json_path)[0] + ".mces" if frames else None
     doc = {
         "kind": "pipeline_snapshot",
@@ -93,15 +87,13 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
         },
         "sidecar": None if sidecar_path is None else os.path.basename(sidecar_path),
     }
-    try:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {json_path!r}: {exc}") from exc
-    if sidecar_path is not None:
-        # one frame at a time, cast to float32 as it is written
-        write_stream(sidecar_path, (f.tokens for f in frames), frame_count=len(frames))
+    with _replacing(json_path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+        fh.flush()  # its bytes reach the file before the sidecar replaces its path
+        if sidecar_path is not None:
+            # one frame at a time, cast to float32 as it is written
+            write_stream(sidecar_path, (f.tokens for f in frames), frame_count=len(frames))
     return json_path, sidecar_path
 
 
@@ -131,6 +123,8 @@ def _sidecar_frames(doc: dict, json_path: str, expected: int):
         if expected:
             raise InvalidSpec("snapshot lists frames but names no sidecar")
         return (f for f in ())  # closable, like iter_stream's iterator
+    if name in ("", ".", "..") or name != os.path.basename(name):
+        raise InvalidSpec(f"snapshot key 'sidecar' is not a bare file name: {name!r}")
     path = os.path.join(os.path.dirname(os.path.abspath(json_path)), name)
     header, _, frames = iter_stream(path)
     if header.frame_count != expected:
@@ -162,10 +156,10 @@ def _rebuild_frame(tokens, meta) -> WeightedFrame:
 def import_pipeline(json_path: str) -> Pipeline:
     """Rebuild a pipeline from :func:`export_pipeline` output.
 
-    The sidecar is looked up next to the JSON file by its recorded name and
-    read one chunk at a time; it is closed on return and on every error. A
-    document that is not a pipeline snapshot, or that lacks or mistypes a
-    key, raises InvalidSpec naming the key.
+    The sidecar is read one chunk at a time from the JSON file's directory,
+    by its recorded bare file name; it is closed on return and on every
+    error. A document that is not a pipeline snapshot, or that lacks or
+    mistypes a key, raises InvalidSpec naming the key.
     """
     doc = read_json(json_path, "a pipeline snapshot")
     if doc.get("kind") != "pipeline_snapshot":

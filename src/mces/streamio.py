@@ -60,8 +60,6 @@ HEADER_SIZE = 20
 _HEADER_STRUCT = struct.Struct("<4sHIHHH4s")
 _FLAG_QUESTION = 1
 _F32 = np.dtype("<f4")
-# the smallest magnitude that rounds to infinity when cast to float32
-_F32_EDGE = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True)
@@ -106,15 +104,41 @@ def _unpack_header(raw: bytes) -> StreamHeader:
                         has_question=bool(flags & _FLAG_QUESTION))
 
 
-def _finite(frames: np.ndarray, first: int) -> np.ndarray:
+def _finite(frames: np.ndarray, first: int, source=None) -> np.ndarray:
     # (T', N, D) frames, the first of which is frame ``first``, if every value
-    # is finite; else NonFiniteValue naming the first by absolute frame and token
+    # is finite; else NonFiniteValue naming the first by absolute frame and
+    # token, and the float32 range if it is finite in ``source``, before a cast
     finite = np.isfinite(frames)
     if not finite.all():
-        fi, token, _ = (int(i) for i in np.unravel_index(np.argmin(finite), frames.shape))
-        raise NonFiniteValue(f"frame {first + fi} token {token} is not finite",
+        fi, token, col = (int(i) for i in np.unravel_index(np.argmin(finite), frames.shape))
+        what = "not finite"
+        if source is not None and np.isfinite(source[fi, token, col]):
+            what = f"outside the container's float32 range (+-{np.finfo(_F32).max:.7e})"
+        raise NonFiniteValue(f"frame {first + fi} token {token} is {what}",
                              frame_index=first + fi, token_index=token)
     return frames
+
+
+@contextlib.contextmanager
+def _replacing(sink, mode="wb"):
+    # ``sink`` to write: an open file object as it is, or a path through
+    # <path>.tmp, which replaces the path once the block exits cleanly and is
+    # removed on a raise. The one place an OSError becomes IoFailure.
+    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
+    tmp = os.fsdecode(sink) + ".tmp" if own else None
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) if own else contextlib.nullcontext(sink) as fh:
+            yield fh
+        if own:
+            os.replace(tmp, sink)
+    except BaseException as exc:
+        if own:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {sink!r}: {exc}") from exc
+        raise
 
 
 def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
@@ -124,9 +148,9 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
     arbitrarily long streams never materialize; it needs ``frame_count``
     unless it is a (T, N, D) array, whose length is the default. The first
     frame sets (N, D). Returns the byte count written. Every value is
-    checked finite before it hits the file. A path is written through
-    ``<path>.tmp``, replaced into place on success: a refused write leaves
-    the path as it was.
+    checked finite, as float32, before it hits the file. A path is written
+    through ``<path>.tmp``, replaced into place on success: a refused write
+    leaves the path as it was.
     """
     if isinstance(frames, np.ndarray):
         if frames.ndim != 3:
@@ -153,35 +177,23 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
         if not np.isfinite(q32).all():
             raise NonFiniteValue("question vector is not finite")
 
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    path = os.fsdecode(sink) if own else None
-    try:
-        with open(path + ".tmp", "wb") if own else contextlib.nullcontext(sink) as fh:
-            written = fh.write(header.pack())
-            if q32 is not None:
-                written += fh.write(q32.tobytes())
-            count = 0
-            for i, frame in enumerate(itertools.chain([first], frames)):
-                if i >= t:
-                    raise ShapeMismatch(f"iterable yielded more than {t} frames")
-                a = np.asarray(frame)
-                if a.shape != (n, d):
-                    raise ShapeMismatch(
-                        f"frame {i} has shape {a.shape}, header says ({n}, {d})")
-                a = _finite(np.ascontiguousarray(a, dtype=_F32)[None], i)
-                written += fh.write(a.tobytes())
-                count += 1
-            if count != t:
-                raise ShapeMismatch(f"iterable yielded {count} frames, expected {t}")
-        if own:
-            os.replace(path + ".tmp", path)
-    except BaseException as exc:
-        if own:
-            with contextlib.suppress(OSError):
-                os.remove(path + ".tmp")
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {sink!r}: {exc}") from exc
-        raise
+    with _replacing(sink) as fh:
+        written = fh.write(header.pack())
+        if q32 is not None:
+            written += fh.write(q32.tobytes())
+        for i, frame in enumerate(itertools.chain([first], frames)):
+            if i >= t:
+                raise ShapeMismatch(f"iterable yielded more than {t} frames")
+            a = np.asarray(frame)
+            if a.shape != (n, d):
+                raise ShapeMismatch(
+                    f"frame {i} has shape {a.shape}, header says ({n}, {d})")
+            # a value the cast makes infinite is refused below, by name
+            with np.errstate(over="ignore"):
+                a32 = np.ascontiguousarray(a, dtype=_F32)
+            written += fh.write(_finite(a32[None], i, a[None]).tobytes())
+        if i + 1 != t:  # the loop ran at least once, for the first frame
+            raise ShapeMismatch(f"iterable yielded {i + 1} frames, expected {t}")
     return written
 
 
@@ -323,6 +335,11 @@ class SyntheticSpec:
             if value < minimum:
                 raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
             object.__setattr__(self, name, value)
+        if not isinstance(self.segments, (tuple, list)):
+            raise InvalidSpec(f"segments must be a sequence of triples, got {self.segments!r}")
+        for seg in self.segments:
+            if not isinstance(seg, (tuple, list)) or len(seg) != 3:
+                raise InvalidSpec(f"segment {seg!r} is not a (start, stop, rho) triple")
         segs = tuple((checked("segment start", int, s), checked("segment stop", int, e),
                       checked("segment rho", float, r)) for s, e, r in self.segments)
         prev = 0

@@ -18,6 +18,7 @@ from mces import (
     GateFailure,
     GridTooLarge,
     InvalidSpec,
+    IoFailure,
     MissingQuestion,
     SyntheticSpec,
     WeightedFrame,
@@ -31,6 +32,7 @@ from mces import (
     write_report,
     write_stream,
 )
+from mces import harness
 from mces.cli import build_parser, main as cli_main
 from mces.consolidation import _check_keys
 from mces.harness import (
@@ -489,6 +491,32 @@ class TestReportPlumbing:
             assert json.loads(csv_row[col]) == row["token_budget"]
         col = header.index("relevance.applicable")
         assert {c[col] for c in cells} <= {"true", "false"}
+
+    @pytest.mark.parametrize("formats, fail", [
+        (("json",), "json"), (("csv",), "csv"), (("json", "csv"), "csv"),
+        (("json", "csv"), "json"),
+    ], ids=["json", "csv", "both_csv_fails", "both_json_fails"])
+    def test_failed_write_leaves_the_previous_report(self, tmp_path, monkeypatch, formats, fail):
+        # the write fails after some bytes: no path is replaced, even one
+        # whose own file was written, and nothing else is left behind
+        write_report(run(ExperimentSpec(synthetic=tiny_synth(), policies=("ema",))),
+                     str(tmp_path), formats)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(*args, **kw):
+            raise OSError(28, "No space left on device")
+
+        if fail == "json":
+            def partial_dump(obj, fh, **kw):
+                fh.write(json.dumps(obj, **kw)[:40])
+                full_disk()
+            monkeypatch.setattr(harness.json, "dump", partial_dump)
+        else:
+            monkeypatch.setattr(harness, "_csv_cell", full_disk)  # after the header row
+        report = run(ExperimentSpec(synthetic=tiny_synth(seed=1), policies=("ema", "no_memory")))
+        with pytest.raises(IoFailure, match="No space left"):
+            write_report(report, str(tmp_path), formats)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_csv_none_is_empty_cell(self, tmp_path):
         report = run(ExperimentSpec(synthetic=tiny_synth(), policies=("ema",)))

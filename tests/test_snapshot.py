@@ -29,6 +29,9 @@ from mces.cli import main
 
 Q = np.array([0.6, 0.8, 0.0, 0.0])
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# the fixture's sidecar by a relative path that climbs to the root and back
+# down, so it names a real file from any directory
+CLIMBING_SIDECAR = os.path.join(*[".."] * 64, *FIXTURES.parts[1:], "snapshot_v1.mces")
 
 
 def small_pipeline(rng, pushes=20):
@@ -126,6 +129,35 @@ class TestExport:
             export_pipeline(pipe, str(tmp_path / "bad.json"))
         assert caught.value.frame_index == 2
         assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("fail", ["sidecar_frame", "json_dump"])
+    def test_failed_export_leaves_the_previous_snapshot(self, tmp_path, rng, monkeypatch, fail):
+        # a disk that fills after 3 sidecar frames, or json.dump failing after
+        # some bytes: neither path is replaced, and nothing else is left behind
+        old = small_pipeline(rng, pushes=20)
+        jp, _ = export_pipeline(old, str(tmp_path / "snap.json"))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk():
+            raise OSError(28, "No space left on device")
+
+        if fail == "sidecar_frame":
+            def after_three(frames):
+                for i, frame in enumerate(frames):
+                    if i == 3:
+                        full_disk()
+                    yield frame
+            monkeypatch.setattr(snapshot, "write_stream", lambda path, frames, **kw:
+                                write_stream(path, after_three(frames), **kw))
+        else:
+            def partial_dump(obj, fh, **kw):
+                fh.write(json.dumps(obj, **kw)[:40])
+                full_disk()
+            monkeypatch.setattr(snapshot.json, "dump", partial_dump)
+        with pytest.raises(IoFailure, match="No space left"):
+            export_pipeline(small_pipeline(rng, pushes=45), jp)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert_same_state(import_pipeline(jp), old, tokens_exact=False)
 
     def test_empty_pipeline_has_no_sidecar(self, tmp_path):
         pipe = Pipeline(2, 4)
@@ -512,10 +544,14 @@ class TestFormatOneFixture:
          "provenance intervals overlap", True),
         (lambda doc: doc.update(sidecar=None), "snapshot lists frames but names no sidecar",
          False),
+        (lambda doc: doc.update(sidecar=str(FIXTURES / "snapshot_v1.mces")),
+         "'sidecar' is not a bare file name", False),
+        (lambda doc: doc.update(sidecar=CLIMBING_SIDECAR), "'sidecar' is not a bare file name",
+         False),
     ], ids=["long_term_over_capacity", "long_term_provenance_past_the_source_index",
             "peak_below_the_frames_held", "seeded_weight_not_held", "seeded_weight_under_none",
             "empty_provenance_interval", "zero_provenance_count", "overlapping_provenance",
-            "frames_without_sidecar"])
+            "frames_without_sidecar", "absolute_sidecar", "relative_sidecar_path"])
     def test_state_no_run_reaches_refused(self, tmp_path, capsys, opened, edit, match,
                                           reads_sidecar):
         # the fixture holds 2 long-term entries and 7 buffered frames of 37

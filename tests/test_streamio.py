@@ -484,11 +484,17 @@ class TestSyntheticSpec:
         ({"seed": 1.5}, "seed must be of type int"),
         ({"n_tokens": 0}, "n_tokens must be >= 1, got 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"segments": ((1, 2),)}, r"segment \(1, 2\) is not a \(start, stop, rho\) triple"),
+        ({"segments": ((1, 2, 0.5, 7),)}, r"segment \(1, 2, 0.5, 7\) is not a"),
+        ({"segments": (5,)}, "segment 5 is not a"),
+        ({"segments": 5}, "segments must be a sequence of triples, got 5"),
     ], ids=["fractional_segment_stop", "bool_segment_start", "string_rho", "bool_frame_count",
             "fractional_n_tokens", "string_dims", "nan_noise", "fractional_seed",
-            "no_tokens", "negative_seed"])
+            "no_tokens", "negative_seed", "segment_pair", "segment_quadruple", "segment_scalar",
+            "segments_scalar"])
     def test_fields_read_by_checked(self, fields, match):
-        # the first two used to construct, as (0, 16, 0.9) and frame_count 1
+        # the first two used to construct, as (0, 16, 0.9) and frame_count 1;
+        # the last four raised a bare ValueError or TypeError from unpacking
         with pytest.raises(InvalidSpec, match=match):
             SyntheticSpec(**{"frame_count": 40, "n_tokens": 2, "dims": 8, **fields})
 
