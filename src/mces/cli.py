@@ -82,7 +82,7 @@ def _parse_question(value):
         if not os.path.exists(value):
             return [float(v) for v in value.split(",") if v.strip()]
         if value.endswith(".npy"):
-            return np.load(value).reshape(-1)
+            return np.load(value)
         if value.endswith(".mces"):
             _, q, frames = iter_stream(value)
             frames.close()

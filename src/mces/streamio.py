@@ -60,6 +60,7 @@ HEADER_SIZE = 20
 _HEADER_STRUCT = struct.Struct("<4sHIHHH4s")
 _FLAG_QUESTION = 1
 _F32 = np.dtype("<f4")
+_OUT_OF_RANGE = f"outside the container's float32 range (+-{np.finfo(_F32).max:.7e})"
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _finite(frames: np.ndarray, first: int, source=None) -> np.ndarray:
         fi, token, col = (int(i) for i in np.unravel_index(np.argmin(finite), frames.shape))
         what = "not finite"
         if source is not None and np.isfinite(source[fi, token, col]):
-            what = f"outside the container's float32 range (+-{np.finfo(_F32).max:.7e})"
+            what = _OUT_OF_RANGE
         raise NonFiniteValue(f"frame {first + fi} token {token} is {what}",
                              frame_index=first + fi, token_index=token)
     return frames
@@ -173,9 +174,11 @@ def write_stream(sink, frames, question=None, *, frame_count=None) -> int:
         q = np.asarray(question)
         if q.shape != (d,):
             raise ShapeMismatch(f"question has shape {q.shape}, expected ({d},)")
-        q32 = np.ascontiguousarray(q, dtype=_F32)
+        with np.errstate(over="ignore"):  # refused below, by name
+            q32 = np.ascontiguousarray(q, dtype=_F32)
         if not np.isfinite(q32).all():
-            raise NonFiniteValue("question vector is not finite")
+            what = _OUT_OF_RANGE if np.isfinite(q.astype(np.float64)).all() else "not finite"
+            raise NonFiniteValue(f"question vector is {what}")
 
     with _replacing(sink) as fh:
         written = fh.write(header.pack())

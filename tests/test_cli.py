@@ -195,6 +195,15 @@ class TestRun:
         rc = main(run_args(tmp_path, stream, "--question", qpath))
         assert rc == 0
 
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 8)])
+    def test_question_from_npy_must_be_1d(self, tmp_path, capsys, shape):
+        stream = gen(tmp_path, extra=["--no-question"])
+        qpath = str(tmp_path / "q.npy")
+        np.save(qpath, np.ones(shape))
+        rc = main(run_args(tmp_path, stream, "--question", qpath))
+        assert rc == 2
+        assert "1-D" in capsys.readouterr().err
+
     def test_non_finite_question_exit_2(self, tmp_path, capsys):
         stream = gen(tmp_path)
         rc = main(run_args(tmp_path, stream, "--question", "nan" + ",1" + ",0" * 6))

@@ -41,7 +41,7 @@ from mces.harness import (
     PARAMS,
     _RETIRED,
     _grid,
-    _run_pipeline,
+    _run_single,
     _stream_for,
     apply_params,
 )
@@ -275,8 +275,8 @@ class TestFileSource:
         path, frames = stream
         spec = ExperimentSpec(stream_file=path, ltm_capacity=4)
         source, question, _ = _stream_for(spec, 0)
-        got = _run_pipeline("question_merge", source, question, spec).long.entries
-        want = _run_pipeline("question_merge", frames, question, spec).long.entries
+        got = _run_single(spec, "question_merge", 0, source, question, ())[1].long.entries
+        want = _run_single(spec, "question_merge", 0, frames, question, ())[1].long.entries
         assert [f.provenance for f in got] == [f.provenance for f in want]
         assert all(np.array_equal(g.tokens, w.tokens) for g, w in zip(got, want))
 
@@ -439,7 +439,7 @@ class TestHeldMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("driver", ["run_pipeline", "bench_mem"])
+    @pytest.mark.parametrize("driver", ["run_single", "bench_mem"])
     def test_peak_does_not_grow_with_stream_length(self, driver):
         spec = ExperimentSpec(synthetic=tiny_synth(), ltm_capacity=8, reinit_mode="none")
 
@@ -447,12 +447,40 @@ class TestHeldMemory:
             if driver == "bench_mem":
                 return lambda: bench_mem(spec, t_list=(t,))
             frames, _ = generate_synthetic(tiny_synth(frame_count=t))
-            return lambda: _run_pipeline("stream_merge", frames, None, spec)
+            return lambda: _run_single(spec, "stream_merge", 0, frames, None, ())[1]
 
         self.peak_bytes(drive(1000))  # first-call allocations are not per fill
         short, long = (self.peak_bytes(drive(t)) for t in (1000, 4000))
         # a report per fill would hold about 1 KB for each of 187 more fills
         assert long - short < 32 * 1024
+
+
+class TestOneRunner:
+    """plant_eval and bench_mem report what run() reports for the same pipelines."""
+
+    def test_plant_eval_pairs_are_run_rows(self):
+        spec = ExperimentSpec(synthetic=planted_synth(), seeds=(0, 1, 2))
+        report = plant_eval(spec)
+        swept = run(dataclasses.replace(spec, sweep=(("alpha", (spec.cfg.alpha, 1.0)),)))
+        rows = swept["rows"]  # per seed: the aware point, then alpha 1
+        assert [row["seed"] for row in rows[::2]] == [row["seed"] for row in report["rows"]]
+        assert [(row["aware"], row["agnostic"]) for row in report["rows"]] == \
+               [(a["relevance"], b["relevance"]) for a, b in zip(rows[::2], rows[1::2])]
+
+    def test_bench_mem_rows_are_run_rows(self):
+        synth = tiny_synth(n_tokens=2, dims=4)
+        spec = ExperimentSpec(synthetic=synth, ltm_capacity=8)
+        report = bench_mem(spec, t_list=(32, 100))
+        for bench_row in report["rows"]:
+            row, = run(dataclasses.replace(
+                spec, synthetic=dataclasses.replace(synth, frame_count=bench_row["frame_count"]),
+                policies=("stream_merge",), reinit_mode="none"))["rows"]
+            counters = row["counters"]
+            empirical = (row["accounting"]["raw_bytes_per_frame"]
+                         * counters["consolidation_output_total"] / counters["frames_pushed"])
+            assert bench_row["ltm_entries"] == counters["ltm_entries"]
+            assert bench_row["measured_peak_frames"] == counters["peak_resident_frames"]
+            assert bench_row["empirical_bytes_per_frame"] == empirical
 
 
 class TestReportPlumbing:

@@ -170,6 +170,12 @@ class TestWriteValidation:
             write_stream(io.BytesIO(), np.zeros((1, 1, 2)),
                          question=np.array([1.0, np.inf]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_question_outside_float32_range_refused_by_name(self):
+        # finite, but the cast makes it infinite: named as such, and no warning
+        with pytest.raises(NonFiniteValue, match="float32 range"):
+            write_stream(io.BytesIO(), np.ones((1, 2, 2)), question=np.array([1e40, 1.0]))
+
 
 class TestRefusedWrite:
     """A refused write to a path leaves the path as it was, and no temp file."""
