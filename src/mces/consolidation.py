@@ -12,7 +12,9 @@ The merge loop maintains adjacent similarities incrementally. A merge at
 index m only disturbs the pairs (m-1, m) and (m, m+1), and untouched pairs
 keep bitwise-identical values, so the loop is step-for-step equal to a naive
 version that recomputes every similarity each iteration. The tests hold it
-to exactly that.
+to exactly that. Its prologue, the window's first similarities, and the
+relevance gate each run in a few whole-window numpy calls over blocks of one
+row per frame, with values bitwise those of the per-frame kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InvalidSpec, InvalidTarget, checked
 from .frames import (
+    NORM_FLOOR,
     WeightedFrame,
+    _adjacent_similarities,
     _cosine,
     _norm,
     _vector,
@@ -147,20 +151,52 @@ def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
 
     Each frame scores cosine(descriptor, question), bitwise what
     :func:`mces.cosine` gives; the question is checked and its norm taken
-    once per call.
+    once per call. The token means are reduced into one (frames, D) block,
+    one row per frame, and the norms, cosines, clamp and mean then run once
+    for the window: ``np.vecdot`` runs numpy's float64 dot loop, as
+    ``ndarray.dot`` does. A width mismatch or a degenerate descriptor runs
+    the per-frame loop, which raises what it raises on its own.
     """
     frames = list(frames)
     if not frames:
         raise EmptyInput("relevance over an empty window")
     q = _vector(question)
     nq = _norm(q)
-    scores = []
+    frames = [f if type(f) is WeightedFrame else WeightedFrame.from_tokens(f, 0)
+              for f in frames]
+    means = np.empty((len(frames), q.shape[0]))
+    counts = []
+    for f, row in zip(frames, means):
+        if f.dims != q.shape[0]:
+            return _refused_descriptors(frames, q, nq)
+        # bitwise frame_descriptor's mean, divided by N below
+        np.add.reduce(f.tokens, axis=0, out=row)
+        counts.append(f.n_tokens)
+    np.divide(means, np.reshape(counts, (-1, 1)), out=means)
+    norms = np.sqrt(np.vecdot(means, means))
+    if not np.minimum.reduce(norms) >= NORM_FLOOR:
+        return _refused_descriptors(frames, q, nq)
+    np.divide(means, norms[:, None], out=means)
+    # _cosine's quotient: each unit descriptor's own norm times the question's
+    norms = np.sqrt(np.vecdot(means, means))
+    if not (np.minimum.reduce(norms) >= NORM_FLOOR and nq >= NORM_FLOOR):
+        return _refused_descriptors(frames, q, nq)
+    cos = np.vecdot(means, q)
+    np.divide(cos, np.multiply(norms, nq), out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    return float(np.add.reduce(cos) / cos.shape[0])
+
+
+def _refused_descriptors(frames: list[WeightedFrame], q: np.ndarray, nq: float):
+    # the per-frame loop over a window the batched gate refused: it raises at
+    # the first frame that fails
     for f in frames:
         d = frame_descriptor(f)
         if d.shape != q.shape:
             raise DimensionMismatch(f"vector shapes differ: {d.shape} vs {q.shape}")
-        scores.append(_cosine(d, _norm(d), q, nq))
-    return float(np.mean(scores))
+        _cosine(d, _norm(d), q, nq)
+    raise AssertionError("a refused window passed every frame")
 
 
 def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):
@@ -200,8 +236,7 @@ def greedy_merge(frames: Sequence[WeightedFrame], target: int):
     input_count = len(work)
     trace = []
     if len(work) > target:
-        sims = [frame_pair_similarity(work[i], work[i + 1]) for i in range(len(work) - 1)]
-        trace = _merge_down(work, sims, target)
+        trace = _merge_down(work, _adjacent_similarities(work), target)
     report = ConsolidationReport(
         input_count=input_count, relevance=None, relevant=None,
         target=target, trace=tuple(trace))

@@ -45,6 +45,14 @@ a finite sum of row norms vouches for every entry, a smallest norm at the
 floor or above for every row) and looks further only when it fails. The
 arithmetic is the same, operation for operation: similarities, relevance
 scores and merge traces stay bitwise equal to the plain reference loop.
+
+A window's first adjacent similarities (``_adjacent_similarities``, a fill's
+merge prologue and a snapshot resume) take whole-window calls: each row
+product goes through one reused frame-sized scratch and is reduced into a
+row of a (frames, N) block, and the square roots, quotients, clamp and means
+run once over the blocks. No array holds more than one frame's tokens.
+``frame_pair_similarity`` stays the kernel for one pair: the merge loop and
+the store's appends.
 """
 
 from __future__ import annotations
@@ -347,6 +355,55 @@ def frame_pair_similarity(a, b) -> float:
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
     return float(np.add.reduce(cos) / cos.shape[0])
+
+
+def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
+    """Bitwise ``[frame_pair_similarity(a, b)]`` over adjacent pairs, in whole-window calls.
+
+    A frame whose norms are not cached yet caches an owned copy of its norm
+    row, so no stored frame keeps the window's block alive. A window with two
+    frame shapes or a row below NORM_FLOOR runs the per-pair loop, which
+    raises what it raises on its own.
+    """
+    if len(frames) < 2:
+        return []
+    shape = frames[0].tokens.shape
+    if any(f.tokens.shape != shape for f in frames):
+        return _refused_pairs(frames)
+    n = shape[0]
+    scratch = np.empty(shape)
+    cached = [f.__dict__.get("norms") for f in frames]
+    # the rows of cached frames stay 0 until after the square root
+    nn = np.zeros((len(frames), n))
+    for f, norms, row in zip(frames, cached, nn):
+        if norms is None:
+            np.add.reduce(np.multiply(f.tokens, f.tokens, out=scratch), axis=1, out=row)
+    np.sqrt(nn, out=nn)
+    for norms, row in zip(cached, nn):
+        if norms is not None:
+            row[:] = norms
+    if not np.minimum.reduce(nn, axis=None) >= NORM_FLOOR:
+        return _refused_pairs(frames)
+    for f, norms, row in zip(frames, cached, nn):
+        if norms is None:
+            owned = row.copy()
+            owned.setflags(write=False)
+            f.__dict__.update(norms=owned, _bad_row=-1)
+    cos = np.empty((len(frames) - 1, n))
+    for a, b, row in zip(frames, frames[1:], cos):
+        np.add.reduce(np.multiply(a.tokens, b.tokens, out=scratch), axis=1, out=row)
+    np.divide(cos, np.multiply(nn[:-1], nn[1:]), out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    return (np.add.reduce(cos, axis=1) / n).tolist()
+
+
+def _refused_pairs(frames: Sequence[WeightedFrame]):
+    # the per-pair loop over a window the batched path refused: it raises at
+    # the first pair that fails, as greedy_merge's own loop did
+    for a, b in zip(frames, frames[1:]):
+        frame_pair_similarity(a, b)
+    raise AssertionError("a refused window passed every pair")
 
 
 def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:

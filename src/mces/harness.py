@@ -421,13 +421,18 @@ def bench_mem(spec: ExperimentSpec, t_list: Sequence[int] = (100, 1000, 10000)) 
         raise InvalidSpec("bench_mem needs a synthetic stream template")
     if not t_list:
         raise InvalidSpec("bench_mem needs at least one stream length")
-    agnostic = replace(spec, reinit_mode="none", question=None)
+    if len(spec.seeds) != 1:
+        raise InvalidSpec(f"bench_mem runs one seed, got {list(spec.seeds)}: no row value "
+                          f"but wall_time_s depends on it")
+    seed = spec.seeds[0]
+    agnostic = replace(spec, reinit_mode="none", question=None,
+                       synthetic=replace(spec.synthetic, seed=seed))
     rows = []
     for t in t_list:
-        sspec = replace(spec.synthetic, frame_count=int(t))
+        sspec = replace(agnostic.synthetic, frame_count=int(t))
         frames = _Frames((sspec.frame_count, sspec.n_tokens, sspec.dims),
                          lambda: iter_synthetic(sspec)[1])
-        row, pipe = _run_single(agnostic, "stream_merge", sspec.seed, frames, None, ())
+        row, pipe = _run_single(agnostic, "stream_merge", seed, frames, None, ())
         record = pipe.bytes_model()
         raw = record.raw_bytes_per_frame
         empirical = raw * pipe.consolidation_output_total / pipe.frames_pushed

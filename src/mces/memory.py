@@ -33,7 +33,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .consolidation import _merge_down
-from .frames import WeightedFrame, as_token_matrix, frame_pair_similarity
+from .frames import (
+    WeightedFrame,
+    _adjacent_similarities,
+    as_token_matrix,
+    frame_pair_similarity,
+)
 # unused here; kept only so bench/spans.py can wrap memory.weighted_merge
 from .frames import weighted_merge  # noqa: F401
 
@@ -174,10 +179,13 @@ class LongTermMemory:
     def total_weight(self) -> int:
         return sum(e.weight for e in self._entries)
 
+    def _check_shape(self, tokens: np.ndarray) -> None:
+        if tokens.shape != self._shape:
+            raise ShapeMismatch(f"entry shape {tokens.shape} != configured {self._shape}")
+
     def _push_entry(self, frame: WeightedFrame) -> None:
         # append one entry and the similarity to its left neighbor
-        if frame.tokens.shape != self._shape:
-            raise ShapeMismatch(f"entry shape {frame.tokens.shape} != configured {self._shape}")
+        self._check_shape(frame.tokens)
         if self._entries:
             self._pair_sims.append(frame_pair_similarity(self._entries[-1], frame))
         self._entries.append(frame)
@@ -213,7 +221,8 @@ class LongTermMemory:
 
     def _restore(self, entries: Sequence[WeightedFrame], position_ids: Sequence[int],
                  next_position_id: int) -> None:
-        # snapshot import path: checks the ids, rebuilds the similarity cache
+        # snapshot import path: checks the ids and the shapes, rebuilds the
+        # similarity cache in whole-window calls
         if len(entries) != len(position_ids):
             raise InvalidSpec("entry and position id counts differ")
         # ids count up from 0, so each exceeds the one before it, the first -1
@@ -221,10 +230,10 @@ class LongTermMemory:
             raise InvalidSpec("position ids must be non-negative and strictly increasing")
         if position_ids and next_position_id <= position_ids[-1]:
             raise InvalidSpec(f"next_position_id {next_position_id} is not past the last id")
-        self._entries = []
-        self._pair_sims = []
         for frame in entries:
-            self._push_entry(frame)
+            self._check_shape(frame.tokens)
+        self._pair_sims = _adjacent_similarities(entries)
+        self._entries = list(entries)
         self._position_ids = list(position_ids)
         self._next_position_id = next_position_id
 

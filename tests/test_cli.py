@@ -355,6 +355,35 @@ class TestBenchMem:
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["spec_echo"]
         assert (echo["reinit_mode"], echo["question"]) == ("none", None)
 
+    def plant_config(self, tmp_path):
+        # README's plant.json
+        return write_config(tmp_path, synthetic={
+            "frame_count": 160, "n_tokens": 4, "dims": 32,
+            "segments": [[64, 80, 0.9]], "noise_scale": 0.05},
+            reinit="none", policies=["question_merge"])
+
+    def test_refuses_more_than_one_seed(self, tmp_path, capsys):
+        # no row value but wall_time_s depends on the seed, so a second
+        # seed would only repeat rows
+        rc = main(["bench-mem", "--config", self.plant_config(tmp_path), "--t-list", "100",
+                   "--seeds", "3,4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "bench_mem runs one seed, got [3, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_runs_and_echoes_its_one_seed(self, tmp_path):
+        rows = {}
+        for seed in ("3", "0"):
+            out = tmp_path / f"out{seed}"
+            assert main(["bench-mem", "--config", self.plant_config(tmp_path),
+                         "--t-list", "100", "--seed", seed, "--out", str(out)]) == 0
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["spec_echo"]["seeds"] == [int(seed)]
+            assert doc["spec_echo"]["synthetic"]["seed"] == int(seed)
+            rows[seed] = [{k: v for k, v in row.items() if k != "wall_time_s"}
+                          for row in doc["rows"]]
+        assert rows["3"] == rows["0"]
+
 
 class TestRunParameters:
     """Flags, --config keys and sweep axes share one set of short names."""

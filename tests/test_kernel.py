@@ -16,6 +16,7 @@ import pytest
 
 from mces import (
     NORM_FLOOR,
+    DimensionMismatch,
     LongTermMemory,
     ShortTermBuffer,
     WeightedFrame,
@@ -29,7 +30,7 @@ from mces import (
     weighted_merge,
 )
 
-from mces.frames import _first_below_floor
+from mces.frames import _adjacent_similarities, _first_below_floor, _row_norms
 
 import oracles
 
@@ -128,6 +129,7 @@ def test_relevance_score_is_bitwise_the_plain_expression(shape, stat):
     # mean: the whole window; min and max: a one-frame window (a residue of
     # one) holding the least or the most question-aligned frame
     q, frames = question_frames(3, shape)
+    frames += [weighted_merge(frames[0], frames[1]), frames[2].as_context()]
     scores = [plain_relevance([f], q) for f in frames]
     if stat == "min":
         frames = [frames[int(np.argmin(scores))]]
@@ -139,6 +141,106 @@ def test_relevance_score_is_bitwise_the_plain_expression(shape, stat):
     for f in frames:
         assert cosine(frame_descriptor(f), q) == plain_relevance([f], q)
         assert np.array_equal(frame_descriptor(f.tokens), frame_descriptor(f))
+
+
+def test_relevance_refusals_are_the_per_frame_loop():
+    # a degenerate descriptor, a width mismatch or a zero question raise
+    # what the per-frame cosine(frame_descriptor(f), q) raises first
+    q, frames = question_frames(4, (16, 128))
+    cancelled = np.ones((16, 128))
+    cancelled[8:] = -1.0
+    degenerate = WeightedFrame.from_tokens(cancelled, 0)
+    narrow = WeightedFrame.from_tokens(np.ones((16, 64)), 0)
+    for window, question in (([*frames[:3], degenerate, *frames[3:]], q),
+                             ([*frames[:3], narrow, degenerate], q),
+                             ([*frames[:3], degenerate, narrow], q),
+                             (frames, np.zeros(128))):
+        with pytest.raises(Exception) as want:
+            for f in window:
+                cosine(frame_descriptor(f), question)
+        with pytest.raises(type(want.value)) as got:
+            relevance_score(window, question)
+        assert str(got.value) == str(want.value)
+
+
+def test_relevance_clamps_to_one():
+    # a frame whose mean is the question, and whose unclamped cosine rounds above 1
+    for q in np.random.default_rng(1).standard_normal((64, 16)):
+        d = q / np.sqrt(q.dot(q))
+        if d.dot(q) / (np.sqrt(d.dot(d)) * np.sqrt(q.dot(q))) > 1.0:
+            break
+    else:
+        pytest.fail("no question rounds above 1")
+    assert relevance_score([WeightedFrame.from_tokens(q[None], 0)], q) == 1.0
+
+
+def adjacent_window(shape):
+    """Context seeds, fresh frames and merged frames, built anew on every call.
+
+    Two adjacent frames share their tokens, so some of their row cosines
+    round above 1 before the clamp.
+    """
+    fresh = weighted_frames(9, 10, shape, 3)
+    seeds = [f.as_context() for f in weighted_frames(10, 2, shape, 1)]
+    merged = [weighted_merge(fresh[6], fresh[7]), weighted_merge(fresh[8], fresh[9])]
+    twin = WeightedFrame(fresh[2].tokens, fresh[2].weight, fresh[2].provenance)
+    return [*seeds, *fresh[:3], twin, merged[0], *fresh[3:6], merged[1]]
+
+
+@pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_adjacent_similarities_are_bitwise_the_pair_loop(shape):
+    window, reference = adjacent_window(shape), adjacent_window(shape)
+    fresh = [f for f in window if "norms" not in vars(f)]
+    assert len(fresh) == 7
+    got = _adjacent_similarities(window)
+    want = [frame_pair_similarity(a, b) for a, b in zip(reference, reference[1:])]
+    assert got == want and all(type(v) is float for v in got)
+    for f in fresh:
+        # an owned copy: no frame keeps the window's norm block alive
+        assert np.array_equal(f.norms, _row_norms(f.tokens))
+        assert not f.norms.flags.writeable and f.norms.base is None
+        assert f._bad_row == -1
+    assert _adjacent_similarities(window) == want
+    assert _adjacent_similarities(window[:1]) == [] == _adjacent_similarities([])
+
+
+def test_adjacent_similarities_clamp_to_one():
+    # a one-row frame whose dot with itself rounds above its squared norm
+    rows = np.random.default_rng(0).standard_normal((64, 16))
+    sq = np.add.reduce(rows * rows, axis=1)
+    ratio = sq / (np.sqrt(sq) * np.sqrt(sq))
+    assert ratio.max() > 1.0
+    row = rows[int(ratio.argmax())][None]
+    twins = [WeightedFrame.from_tokens(row, i) for i in range(2)]
+    assert _adjacent_similarities(twins) == [1.0] == [frame_pair_similarity(*twins)]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("where", [0, 4, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_adjacent_similarities_refuse_as_the_pair_loop(shape, where, cached):
+    row = shape[0] // 3
+
+    def window():
+        frames = adjacent_window(shape)
+        tokens = frames[where].tokens.copy()
+        tokens[row] = 0.0
+        frames[where] = WeightedFrame.from_tokens(tokens, 0)
+        if cached:
+            assert frames[where].norms[row] == 0.0
+        return frames
+
+    reference = window()
+    with pytest.raises(ZeroNorm) as want:
+        [frame_pair_similarity(a, b) for a, b in zip(reference, reference[1:])]
+    with pytest.raises(ZeroNorm) as got:
+        _adjacent_similarities(window())
+    assert str(got.value) == str(want.value)
+    assert got.value.token_index == want.value.token_index == row
+    frames = adjacent_window(shape)
+    frames[where] = WeightedFrame.from_tokens(np.ones((shape[0], shape[1] + 1)), 0)
+    with pytest.raises(DimensionMismatch, match="frame shapes differ"):
+        _adjacent_similarities(frames)
 
 
 @pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
