@@ -53,14 +53,44 @@ row of a (frames, N) block, and the square roots, quotients, clamp and means
 run once over the blocks. No array holds more than one frame's tokens.
 ``frame_pair_similarity`` stays the kernel for one pair: the merge loop and
 the store's appends.
+
+Large frames split their rows across two threads. When a frame holds at
+least ``_SPLIT_VALUES`` (2**16) values and two or more rows, and the process
+may run on two or more CPUs, each row-wise kernel runs rows ``[0, n//2)`` on
+the caller's thread and rows ``[n//2, n)`` on one daemon thread,
+``mces-rows``, started at the first such frame: the float64 copy in
+``as_token_matrix``, the row dots of ``frame_pair_similarity``, the weighted
+mean and row sums of squares of ``weighted_merge``, and the norm and dot
+blocks of ``_adjacent_similarities``. Each row's arithmetic is the unsplit
+one, and every whole-vector step (square roots, the floor check, quotients,
+clamp, the mean over rows, the overflow test) runs on the caller after both
+halves finish, so every value is bitwise that of one thread. The float32
+sum of squares of a pushed frame reads only the input, so the caller takes
+it, as one call, while the worker copies its rows. The boundary is the same
+in every kernel, the push included, so each core writes the same half of a
+frame and keeps reading it from its own cache. Below the threshold (a
+(64, 512) frame and smaller, where the join, about 20 us, costs more than
+the half saves) the kernels run on the caller alone, as written. The
+relevance gate's token means sum down the rows, so they are not split.
+
+There is one worker per process, and a kernel hands it nothing but row
+ranges of arrays the caller allocated; it keeps no reference once its half
+is done. A caller that finds the worker busy (another thread's pipeline)
+runs its rows alone. An exception in either half is raised after both have
+finished. A wait that is interrupted drops the worker, so its late result is
+never read as a later call's, and a forked child drops the parent's worker
+and starts its own at its first large frame.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 import sys
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,6 +121,133 @@ _SUMSQ_MAX = sys.float_info.max / 2
 Interval = tuple[int, int, int]
 _F32 = np.dtype(np.float32)
 
+# frames of at least this many values split their rows across the caller and
+# the mces-rows thread (module docstring)
+_SPLIT_VALUES = 1 << 16
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# held by the one caller whose rows the worker is running
+_split_lock = threading.Lock()
+# (jobs, results, thread) of the mces-rows thread, once a large frame starts it
+_worker = None
+
+
+def _split_rows(kernel, n: int, *args, then=None):
+    """Run ``kernel(lo, hi, *args)`` over rows [0, n), split at n // 2.
+
+    The caller runs the first half while the worker runs the second, then
+    calls ``then()``, if given, before it waits for the worker, and returns
+    its value. With one row, one CPU, or the worker busy with another
+    caller, the caller runs ``kernel(0, n, *args)`` alone. Each half writes
+    only its own rows of the arrays in ``args``.
+    """
+    global _worker
+    if n < 2 or _CPUS < 2 or not _split_lock.acquire(blocking=False):
+        kernel(0, n, *args)
+        return then() if then else None
+    try:
+        if _worker is None:
+            _worker = _start_worker()
+        jobs, results, _ = _worker
+        half = n // 2
+        jobs.put((kernel, half, n, args))
+        try:
+            kernel(0, half, *args)
+            value = then() if then else None
+        finally:
+            try:
+                error = results.get()
+            except BaseException:
+                # an interrupted wait: this worker's late result must not be
+                # read as a later call's
+                _drop_worker()
+                raise
+        if error is not None:
+            raise error
+        return value
+    finally:
+        _split_lock.release()
+
+
+def _start_worker():
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    thread = threading.Thread(target=_serve, args=(jobs, results), name="mces-rows",
+                              daemon=True)
+    thread.start()
+    return jobs, results, thread
+
+
+def _serve(jobs, results) -> None:
+    # the mces-rows loop; None ends it. It drops each job before reporting it
+    # done, so it holds no caller's array while it waits. Whatever a half
+    # raises, SystemExit included, goes to the caller, which raises it: a
+    # thread that died here would leave the caller waiting.
+    while (job := jobs.get()) is not None:
+        kernel, lo, hi, args = job
+        error = None
+        try:
+            kernel(lo, hi, *args)
+        except BaseException as raised:
+            error = raised
+        del job, kernel, args
+        results.put(error)
+        del error
+
+
+def _drop_worker() -> None:
+    global _worker
+    if _worker is not None:
+        _worker[0].put(None)  # the thread ends after the job it holds, if any
+        _worker = None
+
+
+def _forget_worker() -> None:
+    # a forked child has no worker thread, and no caller mid-split that could
+    # release a lock the fork copied held
+    global _worker, _split_lock
+    _worker, _split_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _copy_rows(lo, hi, a, x):
+    # astype's values and warnings, into one half of the fresh matrix
+    np.copyto(a[lo:hi], x[lo:hi], casting="unsafe")
+
+
+def _dot_rows(lo, hi, out, ta, tb, scratch):
+    np.add.reduce(np.multiply(ta[lo:hi], tb[lo:hi], out=scratch[lo:hi]), axis=1,
+                  out=out[lo:hi])
+
+
+def _merge_rows(lo, hi, out, sumsq, ta, wa, tb, wb, scratch):
+    # weighted_merge's weighted mean and row sums of squares, op for op
+    t, s, a, b = out[lo:hi], scratch[lo:hi], ta[lo:hi], tb[lo:hi]
+    if wa != 1:
+        np.multiply(a, wa, out=t)
+        t += b if wb == 1 else np.multiply(b, wb, out=s)
+    elif wb != 1:
+        np.multiply(b, wb, out=t)
+        t += a
+    else:
+        np.add(a, b, out=t)
+    t /= wa + wb
+    np.add.reduce(np.multiply(t, t, out=s), axis=1, out=sumsq[lo:hi])
+
+
+def _window_rows(lo, hi, frames, cached, nn, cos, scratch):
+    # _adjacent_similarities' sums of squares and row dots, in one pass
+    s = scratch[lo:hi]
+    for f, norms, row in zip(frames, cached, nn):
+        if norms is None:
+            t = f.tokens[lo:hi]
+            np.add.reduce(np.multiply(t, t, out=s), axis=1, out=row[lo:hi])
+    for a, b, row in zip(frames, frames[1:], cos):
+        np.add.reduce(np.multiply(a.tokens[lo:hi], b.tokens[lo:hi], out=s), axis=1,
+                      out=row[lo:hi])
+
 
 def as_token_matrix(x) -> np.ndarray:
     """Validate an array-like as an (N, D) token matrix.
@@ -112,10 +269,19 @@ def as_token_matrix(x) -> np.ndarray:
     """
     # astype copies an exact ndarray as np.array does, at less call overhead;
     # a C-contiguous float32 one is summed as it is: widening is exact, and it
-    # is half the bytes and still in cache after the copy
+    # is half the bytes and still in cache after the copy. A split copy sums
+    # it on the caller while the worker copies its rows.
+    sumsq = None
     if type(x) is np.ndarray:
-        a = x.astype(np.float64, order="C")
-        v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else a.ravel()
+        if x.size >= _SPLIT_VALUES:
+            a = np.empty(x.shape)
+            v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else None
+            sumsq = _split_rows(_copy_rows, len(x), a, x,
+                                then=None if v is None else partial(v.dot, v))
+            v = a.ravel() if v is None else v
+        else:
+            a = x.astype(np.float64, order="C")
+            v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else a.ravel()
     else:
         a = np.array(x, dtype=np.float64, order="C")
         v = a.ravel()
@@ -124,7 +290,7 @@ def as_token_matrix(x) -> np.ndarray:
     if not a.size:
         raise DimensionMismatch(f"token matrix axes must be >= 1, got shape {a.shape}")
     # a sum of squares in range vouches for every entry; else test each entry
-    if not float(v.dot(v)) <= _SUMSQ_MAX:
+    if not float(v.dot(v) if sumsq is None else sumsq) <= _SUMSQ_MAX:
         if not np.isfinite(a).all():
             raise ValueError("token matrix contains non-finite values")
         v = a.ravel()
@@ -350,7 +516,11 @@ def frame_pair_similarity(a, b) -> float:
         raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
     # the ufuncs behind np.sum, np.clip (maximum, then minimum) and
     # ndarray.mean, called directly
-    cos = np.add.reduce(np.multiply(ta, tb), axis=1)
+    if ta.size >= _SPLIT_VALUES:
+        cos = np.empty(ta.shape[0])
+        _split_rows(_dot_rows, ta.shape[0], cos, ta, tb, np.empty(ta.shape))
+    else:
+        cos = np.add.reduce(np.multiply(ta, tb), axis=1)
     np.divide(cos, np.multiply(na, nb), out=cos)
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
@@ -375,9 +545,15 @@ def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
     cached = [f.__dict__.get("norms") for f in frames]
     # the rows of cached frames stay 0 until after the square root
     nn = np.zeros((len(frames), n))
-    for f, norms, row in zip(frames, cached, nn):
-        if norms is None:
-            np.add.reduce(np.multiply(f.tokens, f.tokens, out=scratch), axis=1, out=row)
+    cos = np.empty((len(frames) - 1, n))
+    split = scratch.size >= _SPLIT_VALUES
+    if split:
+        # the dots too, in the same join; a refused window wastes them
+        _split_rows(_window_rows, n, frames, cached, nn, cos, scratch)
+    else:
+        for f, norms, row in zip(frames, cached, nn):
+            if norms is None:
+                np.add.reduce(np.multiply(f.tokens, f.tokens, out=scratch), axis=1, out=row)
     np.sqrt(nn, out=nn)
     for norms, row in zip(cached, nn):
         if norms is not None:
@@ -389,9 +565,9 @@ def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
             owned = row.copy()
             owned.setflags(write=False)
             f.__dict__.update(norms=owned, _bad_row=-1)
-    cos = np.empty((len(frames) - 1, n))
-    for a, b, row in zip(frames, frames[1:], cos):
-        np.add.reduce(np.multiply(a.tokens, b.tokens, out=scratch), axis=1, out=row)
+    if not split:
+        for a, b, row in zip(frames, frames[1:], cos):
+            np.add.reduce(np.multiply(a.tokens, b.tokens, out=scratch), axis=1, out=row)
     np.divide(cos, np.multiply(nn[:-1], nn[1:]), out=cos)
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
@@ -426,16 +602,22 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     # (wa * ta + wb * tb) / total in one fresh buffer. Multiplying by a
     # weight of exactly 1 is skipped and addition commutes, so every value
     # is bitwise what the plain expression gives.
-    if wa != 1:
-        tokens = np.multiply(ta, wa)
-        tokens += tb if wb == 1 else wb * tb
-    elif wb != 1:
-        tokens = np.multiply(tb, wb)
-        tokens += ta
+    if ta.size >= _SPLIT_VALUES:
+        tokens, norms = np.empty(ta.shape), np.empty(ta.shape[0])
+        _split_rows(_merge_rows, ta.shape[0], tokens, norms, ta, wa, tb, wb,
+                    np.empty(ta.shape))
+        np.sqrt(norms, out=norms)
     else:
-        tokens = ta + tb
-    tokens /= total
-    norms = _row_norms(tokens)
+        if wa != 1:
+            tokens = np.multiply(ta, wa)
+            tokens += tb if wb == 1 else wb * tb
+        elif wb != 1:
+            tokens = np.multiply(tb, wb)
+            tokens += ta
+        else:
+            tokens = ta + tb
+        tokens /= total
+        norms = _row_norms(tokens)
     # each row is a weighted mean of two rows in range, so only the weighted
     # sum can overflow; an overflowed token makes its row norm, and so the
     # sum of the norms (all >= 0), non-finite

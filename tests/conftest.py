@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from mces import WeightedFrame
-from mces import streamio
+from mces import frames, streamio
 
 
 def make_frames(rng, count, n_tokens, dims, start=0):
@@ -27,6 +29,30 @@ def directional_frames(direction, count, n_tokens, start=0, jitter=None, rng=Non
             tokens = tokens + jitter * rng.standard_normal(tokens.shape)
         out.append(WeightedFrame.from_tokens(tokens, start + i))
     return out
+
+
+def oracle_case(case):
+    """Acceptance check c1's seeded case: its raw (N, D) token matrices and target."""
+    r = np.random.default_rng(9_000 + case)
+    k = int(r.integers(3, 17))
+    n = int(r.integers(1, 5))
+    d = int(r.integers(2, 9))
+    m = int(r.integers(1, k + 1))
+    return [r.standard_normal((n, d)) for _ in range(k)], m
+
+
+@pytest.fixture
+def split_rows(monkeypatch):
+    """A switch for the row split of mces.frames' kernels, as on two CPUs.
+
+    ``split_rows(True)`` splits every frame of two or more rows between the
+    caller and the row worker; ``split_rows(False)`` splits none.
+    """
+    def switch(on: bool) -> None:
+        monkeypatch.setattr(frames, "_SPLIT_VALUES", 2 if on else sys.maxsize)
+        monkeypatch.setattr(frames, "_CPUS", 2)
+
+    return switch
 
 
 @pytest.fixture

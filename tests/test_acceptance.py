@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import directional_frames
+from conftest import directional_frames, oracle_case
 from mces import (
     ConsolidationConfig,
     ExperimentSpec,
@@ -62,12 +62,8 @@ def oracle_sweep():
     not_conserved = []
     t0 = time.perf_counter()
     for case in range(ORACLE_CASES):
-        r = np.random.default_rng(9_000 + case)
-        k = int(r.integers(3, 17))
-        n = int(r.integers(1, 5))
-        d = int(r.integers(2, 9))
-        m = int(r.integers(1, k + 1))
-        tokens = [r.standard_normal((n, d)) for _ in range(k)]
+        tokens, m = oracle_case(case)
+        k = len(tokens)
         frames = [WeightedFrame.from_tokens(t, i) for i, t in enumerate(tokens)]
         out, rep = greedy_merge(frames, m)
         want, trace = oracles.naive_greedy_merge(frames, m)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,32 @@ class TestTokenMatrix:
             assert x.flags.writeable
             x[0, 0] = 7
             assert a[0, 0] == want[0, 0] != 7
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("dtype, layout, content", CHECK_CASES,
+                             ids=["-".join(case) for case in CHECK_CASES])
+    def test_split_check_at_every_precision_and_layout(self, rng, dtype, layout, content,
+                                                       split_rows):
+        # an ndarray's 3 rows copied 1 on the caller's thread, 2 on the row worker's
+        split_rows(True)
+        self.test_check_at_every_precision_and_layout(rng, dtype, layout, content)
+
+    @pytest.mark.filterwarnings("ignore:Casting complex values:numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("dtype", ["<U24", object, bool, np.int32, complex])
+    def test_split_copy_is_astype(self, rng, dtype, split_rows):
+        x = rng.standard_normal((5, 4))
+        x = (x + 0.5j if dtype is complex else x).astype(dtype)
+        copies = []
+        for on in (False, True):
+            split_rows(on)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                copies.append((as_token_matrix(x), {w.category for w in caught}))
+        (want, want_warned), (got, got_warned) = copies
+        assert got.tobytes() == want.tobytes() == x.astype(np.float64).tobytes()
+        assert got_warned == want_warned
+        assert (np.exceptions.ComplexWarning in got_warned) == (dtype is complex)
 
 
 class TestProvenance:

@@ -4,11 +4,18 @@ The acceptance sweep (c1) draws D <= 8, where numpy's pairwise summation
 never engages; these cases cover the widths the engine runs at, with unit
 and larger input weights, for fill merging and long-term compaction alike.
 The similarity and relevance kernels are held bitwise to the plain numpy
-expressions they replace, written out here.
+expressions they replace, written out here. With the row split forced on
+every frame of two or more rows, the kernels are held bitwise to their
+unsplit runs, and the row worker thread to its rules.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,8 +23,10 @@ import pytest
 
 from mces import (
     NORM_FLOOR,
+    ConsolidationConfig,
     DimensionMismatch,
     LongTermMemory,
+    Pipeline,
     ShortTermBuffer,
     WeightedFrame,
     ZeroNorm,
@@ -30,9 +39,17 @@ from mces import (
     weighted_merge,
 )
 
-from mces.frames import _adjacent_similarities, _first_below_floor, _row_norms
+from mces import frames as frames_module
+from mces.frames import (
+    _adjacent_similarities,
+    _first_below_floor,
+    _row_norms,
+    _split_rows,
+    as_token_matrix,
+)
 
 import oracles
+from conftest import oracle_case
 
 SHAPES = [(32, 256), (128, 768), (16, 128)]
 # plus a token count that is not a power of two, where dividing a sum by N
@@ -323,3 +340,223 @@ def test_pushed_frame_equals_the_public_constructor(shape):
         WeightedFrame.from_tokens(raw[0], -1)
     with pytest.raises(ValueError):
         WeightedFrame.from_tokens(np.full(shape, np.nan), 0)
+
+
+# frames of 3 and 5 rows split unevenly: the caller takes 1 and 2 rows
+ODD_SHAPES = [(3, 7), (5, 16)]
+
+
+def row_workers():
+    return [t for t in threading.enumerate() if t.name == "mces-rows"]
+
+
+def make_pair(shape):
+    r = np.random.default_rng(17)
+    return [WeightedFrame.from_tokens(r.standard_normal(shape), i) for i in range(2)]
+
+
+def split_figures(shape):
+    """What the row-split kernels compute on one window, built anew."""
+    window = adjacent_window(shape)
+    raw = np.random.default_rng(8).standard_normal((2, *shape)).astype(np.float32)
+    window += [WeightedFrame.from_tokens(x, i) for i, x in enumerate(raw)]
+    sims = _adjacent_similarities(window)
+    merged = [weighted_merge(a, b) for a, b in zip(window, window[1:])]
+    pairs = [frame_pair_similarity(a, b) for a, b in zip(merged, merged[1:])]
+    return window + merged, sims + pairs
+
+
+@pytest.mark.parametrize("shape", MEAN_SHAPES + ODD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_split_kernels_are_bitwise_the_unsplit_run(shape, split_rows):
+    split_rows(False)
+    want_frames, want = split_figures(shape)
+    split_rows(True)
+    got_frames, got = split_figures(shape)
+    assert got == want
+    for g, w in zip(got_frames, want_frames, strict=True):
+        assert g.tokens.tobytes() == w.tokens.tobytes()
+        assert g.norms.tobytes() == w.norms.tobytes()
+        assert (g.weight, g.provenance, g._bad_row) == (w.weight, w.provenance, w._bad_row)
+    # the pair loop's test, with every kernel in it split
+    test_adjacent_similarities_are_bitwise_the_pair_loop(shape)
+    assert len(row_workers()) == 1
+
+
+def test_split_merge_is_bitwise_the_unsplit_merge_on_c1_cases(split_rows):
+    # every fifth case of acceptance check c1: 1 to 4 token rows per frame
+    for case in range(0, 1000, 5):
+        tokens, target = oracle_case(case)
+        runs = []
+        for on in (False, True):
+            split_rows(on)
+            frames = [WeightedFrame.from_tokens(t, i) for i, t in enumerate(tokens)]
+            out, report = greedy_merge(frames, target)
+            runs.append((out, report.trace))
+        (want, want_trace), (got, got_trace) = runs
+        assert got_trace == want_trace, case
+        for g, w in zip(got, want, strict=True):
+            assert g.tokens.tobytes() == w.tokens.tobytes(), case
+            assert (g.weight, g.provenance) == (w.weight, w.provenance), case
+        oracle, oracle_trace = oracles.naive_greedy_merge(frames, target)
+        assert got_trace == tuple(oracle_trace), case
+        assert_same_entries(got, oracle)
+
+
+@pytest.mark.parametrize("dtype", ["<U8", object])
+def test_an_error_in_the_workers_half_reaches_the_caller(dtype, split_rows):
+    split_rows(True)
+    x = np.full((4, 3), "1.5", dtype=dtype)
+    x[3, 1] = "x"  # a row of the worker's half, [2, 4)
+    with pytest.raises(ValueError) as want:
+        x.astype(np.float64)
+    with pytest.raises(type(want.value)) as got:
+        as_token_matrix(x)
+    assert str(got.value) == str(want.value)
+    assert as_token_matrix(x[:3]).tobytes() == x[:3].astype(np.float64).tobytes()
+    assert len(row_workers()) == 1
+
+
+def test_either_halfs_error_is_raised_after_both_halves(split_rows):
+    split_rows(True)
+    for failing in (0, 2):
+        finished = []
+
+        def kernel(lo, hi):
+            if lo == failing:
+                raise KeyError(lo)
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(KeyError) as err:
+            _split_rows(kernel, 4)
+        assert err.value.args == (failing,)
+        assert finished == [2 - failing]
+
+
+def test_an_interrupted_wait_drops_the_worker(split_rows):
+    split_rows(True)
+    a, b = make_pair((4, 3))
+    want = frame_pair_similarity(a, b)
+    jobs, results, thread = frames_module._worker
+
+    class Interrupted:
+        def get(self):
+            raise KeyboardInterrupt
+
+    # set, not patched: the dropped worker must not come back after the test
+    frames_module._worker = (jobs, Interrupted(), thread)
+    with pytest.raises(KeyboardInterrupt):
+        frame_pair_similarity(a, b)
+    assert frames_module._worker is None
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    # the dropped worker's late result stays in its own queue
+    assert results.get(timeout=10) is None
+    assert frame_pair_similarity(a, b) == want
+    assert len(row_workers()) == 1
+
+
+def test_a_split_call_leaves_no_traced_memory(split_rows):
+    split_rows(True)
+    a, b = make_pair((128, 768))
+    want = frame_pair_similarity(a, b)
+    merged = weighted_merge(a, b)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert frame_pair_similarity(a, b) == want
+        assert _adjacent_similarities([a, b]) == [want]
+        assert weighted_merge(a, b).tokens.tobytes() == merged.tokens.tobytes()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 1024
+    assert len(row_workers()) == 1
+
+
+def test_concurrent_pipelines_are_bitwise_the_sequential_runs(monkeypatch):
+    # 2**16 values per frame: split at the real threshold, by whichever
+    # caller holds the worker, while the others run their rows alone
+    monkeypatch.setattr(frames_module, "_CPUS", 2)
+    shape = (128, 512)
+    assert shape[0] * shape[1] == frames_module._SPLIT_VALUES
+    cfg = ConsolidationConfig(capacity=4, base_target=2)
+    streams = [np.random.default_rng(seed).standard_normal((10, *shape)).astype(np.float32)
+               for seed in range(3)]
+
+    def run(stream):
+        pipe = Pipeline(*shape, cfg, ltm_capacity=3, reinit_mode="none")
+        pipe.run_stream(stream)
+        return pipe.long.entries
+
+    want = [run(stream) for stream in streams]
+    got = [None] * len(streams)
+
+    def target(i):
+        try:
+            got[i] = run(streams[i])
+        except BaseException as error:  # reported by the assertion below
+            got[i] = error
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert isinstance(g, tuple), g
+        assert len(g) == len(w)
+        for ge, we in zip(g, w):
+            assert ge.tokens.tobytes() == we.tokens.tobytes()
+            assert (ge.weight, ge.provenance) == (we.weight, we.provenance)
+    assert len(row_workers()) == 1
+
+
+def similarity_in_child(a, b, want):
+    sys.exit(0 if frame_pair_similarity(a, b) == want else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_runs_its_own_split(split_rows):
+    split_rows(True)
+    a, b = make_pair((4, 3))
+    want = frame_pair_similarity(a, b)
+    assert len(row_workers()) == 1
+    child = multiprocessing.get_context("fork").Process(
+        target=similarity_in_child, args=(a.tokens, b.tokens, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    child.close()
+
+
+def test_one_cpu_starts_no_worker(monkeypatch):
+    worker = frames_module._worker
+    frames_module._drop_worker()
+    if worker is not None:
+        worker[2].join(timeout=10)
+    assert not row_workers()
+    monkeypatch.setattr(frames_module, "_SPLIT_VALUES", 2)
+    monkeypatch.setattr(frames_module, "_CPUS", 1)
+    split_figures((5, 16))
+    pipe = Pipeline(5, 16, ConsolidationConfig(capacity=4, base_target=2),
+                    ltm_capacity=3, reinit_mode="none")
+    pipe.run_stream(np.random.default_rng(0).standard_normal((20, 5, 16)))
+    assert not row_workers()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_the_cpu_count_is_the_affinity():
+    # a process pinned to one CPU (taskset -c 0) splits no frame
+    assert frames_module._CPUS == len(os.sched_getaffinity(0))

@@ -588,3 +588,24 @@ class TestWholePipelineOracle:
                 mismatched.append(i)
         assert mismatched == []
         assert ties > 0
+
+
+def test_split_rows_are_bitwise_the_unsplit_pipeline(split_rows):
+    # the oracle's configs (1 to 3 token rows) with every frame of two or
+    # more rows split between the caller and the row worker
+    oracle = TestWholePipelineOracle()
+    for i in range(300):
+        n_tokens, dims, cfg, question, ltm_capacity, frames = oracle.case(i)
+        stores = []
+        for on in (False, True):
+            split_rows(on)
+            pipe = Pipeline(n_tokens, dims, cfg, question=question,
+                            ltm_capacity=ltm_capacity, reinit_mode="none")
+            reports = pipe.run_stream(frames)
+            stores.append((pipe.long.entries, pipe.long.position_ids,
+                           [rep.relevance for rep in reports]))
+        (want, want_ids, want_scores), (got, got_ids, got_scores) = stores
+        assert (got_ids, got_scores) == (want_ids, want_scores), i
+        for g, w in zip(got, want, strict=True):
+            assert g.tokens.tobytes() == w.tokens.tobytes(), i
+            assert (g.weight, g.provenance) == (w.weight, w.provenance), i
