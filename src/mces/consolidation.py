@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import frames as _frames
 from .errors import DimensionMismatch, EmptyInput, InvalidSpec, InvalidTarget, checked
 from .frames import (
     NORM_FLOOR,
@@ -211,6 +212,19 @@ def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):
         # max tests `>` left to right; index finds the first equal: lowest on ties
         best = sims.index(max(sims))
         trace.append((len(trace), best, sims[best]))
+        if work[best].tokens.size >= _frames._SPLIT_VALUES:
+            # one row job: the merge and its similarities to both neighbours
+            left = work[best - 1] if best > 0 else None
+            right = work[best + 2] if best + 2 < len(work) else None
+            merged, to_left, to_right = _frames._merge_between(
+                left, work[best], work[best + 1], right)
+            work[best:best + 2] = [merged]
+            del sims[best]
+            if left is not None:
+                sims[best - 1] = to_left
+            if right is not None:
+                sims[best] = to_right
+            continue
         merged = weighted_merge(work[best], work[best + 1])
         work[best] = merged
         del work[best + 1]

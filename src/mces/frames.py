@@ -73,6 +73,23 @@ frame and keeps reading it from its own cache. Below the threshold (a
 the half saves) the kernels run on the caller alone, as written. The
 relevance gate's token means sum down the rows, so they are not split.
 
+A merge of two large frames is one row job (``_merge_between``; the merge
+loop, ``consolidation._merge_down``, calls it for large frames, and
+``weighted_merge`` with no neighbours). Each half computes its rows of the
+weighted mean, their sums of squares, and their dots with the frames on
+either side of the pair. The caller then takes the square roots, the
+overflow test and the merged frame, and ends each neighbour similarity as
+``frame_pair_similarity`` does: one join per merge instead of three (an
+empty one costs about 17 us), with the bits and refusals of the three calls,
+in their order. The buffers the large path allocates for tokens and row
+scratch start on a 64-byte line (``_aligned``): numpy aligns to 16 bytes,
+and a misaligned operand splits every vector load and store across two
+cache lines (a float64 multiply over three (128, 768) operands takes 88 us
+so, 59 us aligned). numpy's float64 loops give the same bits at any
+alignment, which the tests pin. Aligning costs about 2 us a buffer, so
+small frames keep numpy's buffers, and so does the push's copy, whose
+aligned form read slower per step. Norm vectors stay owned arrays.
+
 There is one worker per process, and a kernel hands it nothing but row
 ranges of arrays the caller allocated; it keeps no reference once its half
 is done. A caller that finds the worker busy (another thread's pipeline)
@@ -212,6 +229,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _aligned(shape) -> np.ndarray:
+    # an uninitialised C-contiguous float64 array whose data starts on a
+    # 64-byte line: numpy's allocator aligns to 16 bytes only
+    n = math.prod(shape)
+    raw = np.empty(n + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + n].reshape(shape)
+
+
 def _copy_rows(lo, hi, a, x):
     # astype's values and warnings, into one half of the fresh matrix
     np.copyto(a[lo:hi], x[lo:hi], casting="unsafe")
@@ -222,8 +248,10 @@ def _dot_rows(lo, hi, out, ta, tb, scratch):
                   out=out[lo:hi])
 
 
-def _merge_rows(lo, hi, out, sumsq, ta, wa, tb, wb, scratch):
-    # weighted_merge's weighted mean and row sums of squares, op for op
+def _merge_rows(lo, hi, out, sumsq, ta, wa, tb, wb, scratch, dots, left, right):
+    # weighted_merge's weighted mean and row sums of squares, op for op, then
+    # frame_pair_similarity's row dots of (left, merged) and (merged, right)
+    # into dots[0] and dots[1]; a neighbour that is None is skipped
     t, s, a, b = out[lo:hi], scratch[lo:hi], ta[lo:hi], tb[lo:hi]
     if wa != 1:
         np.multiply(a, wa, out=t)
@@ -235,6 +263,10 @@ def _merge_rows(lo, hi, out, sumsq, ta, wa, tb, wb, scratch):
         np.add(a, b, out=t)
     t /= wa + wb
     np.add.reduce(np.multiply(t, t, out=s), axis=1, out=sumsq[lo:hi])
+    if left is not None:
+        np.add.reduce(np.multiply(left[lo:hi], t, out=s), axis=1, out=dots[0, lo:hi])
+    if right is not None:
+        np.add.reduce(np.multiply(t, right[lo:hi], out=s), axis=1, out=dots[1, lo:hi])
 
 
 def _window_rows(lo, hi, frames, cached, nn, cos, scratch):
@@ -510,17 +542,30 @@ def frame_pair_similarity(a, b) -> float:
     ta, tb = a.tokens, b.tokens
     if ta.shape != tb.shape:
         raise DimensionMismatch(f"frame shapes differ: {ta.shape} vs {tb.shape}")
+    if ta.size >= _SPLIT_VALUES:
+        cos = np.empty(ta.shape[0])
+        _split_rows(_dot_rows, ta.shape[0], cos, ta, tb, _aligned(ta.shape))
+        return _pair_mean(a, b, cos)
     na, nb = a.norms, b.norms
     if a._bad_row >= 0 or b._bad_row >= 0:
         j, which = (a._bad_row, "first") if a._bad_row >= 0 else (b._bad_row, "second")
         raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
     # the ufuncs behind np.sum, np.clip (maximum, then minimum) and
     # ndarray.mean, called directly
-    if ta.size >= _SPLIT_VALUES:
-        cos = np.empty(ta.shape[0])
-        _split_rows(_dot_rows, ta.shape[0], cos, ta, tb, np.empty(ta.shape))
-    else:
-        cos = np.add.reduce(np.multiply(ta, tb), axis=1)
+    cos = np.add.reduce(np.multiply(ta, tb), axis=1)
+    np.divide(cos, np.multiply(na, nb), out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    return float(np.add.reduce(cos) / cos.shape[0])
+
+
+def _pair_mean(a: WeightedFrame, b: WeightedFrame, cos: np.ndarray) -> float:
+    # frame_pair_similarity of a large pair, given its row dots in cos: the
+    # same refusal of a row below the floor, quotient, clamp and mean
+    na, nb = a.norms, b.norms
+    if a._bad_row >= 0 or b._bad_row >= 0:
+        j, which = (a._bad_row, "first") if a._bad_row >= 0 else (b._bad_row, "second")
+        raise ZeroNorm(f"token {j} of {which} frame has near-zero norm", token_index=j)
     np.divide(cos, np.multiply(na, nb), out=cos)
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
@@ -541,12 +586,12 @@ def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
     if any(f.tokens.shape != shape for f in frames):
         return _refused_pairs(frames)
     n = shape[0]
-    scratch = np.empty(shape)
+    split = math.prod(shape) >= _SPLIT_VALUES
+    scratch = _aligned(shape) if split else np.empty(shape)
     cached = [f.__dict__.get("norms") for f in frames]
     # the rows of cached frames stay 0 until after the square root
     nn = np.zeros((len(frames), n))
     cos = np.empty((len(frames) - 1, n))
-    split = scratch.size >= _SPLIT_VALUES
     if split:
         # the dots too, in the same join; a refused window wastes them
         _split_rows(_window_rows, n, frames, cached, nn, cos, scratch)
@@ -597,27 +642,23 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     if ta.shape != tb.shape:
         raise DimensionMismatch(
             f"cannot merge frames of shapes {ta.shape} and {tb.shape}")
+    if ta.size >= _SPLIT_VALUES:
+        return _merge_between(None, a, b, None)[0]
     wa, wb = a.weight, b.weight
     total = wa + wb
     # (wa * ta + wb * tb) / total in one fresh buffer. Multiplying by a
     # weight of exactly 1 is skipped and addition commutes, so every value
     # is bitwise what the plain expression gives.
-    if ta.size >= _SPLIT_VALUES:
-        tokens, norms = np.empty(ta.shape), np.empty(ta.shape[0])
-        _split_rows(_merge_rows, ta.shape[0], tokens, norms, ta, wa, tb, wb,
-                    np.empty(ta.shape))
-        np.sqrt(norms, out=norms)
+    if wa != 1:
+        tokens = np.multiply(ta, wa)
+        tokens += tb if wb == 1 else wb * tb
+    elif wb != 1:
+        tokens = np.multiply(tb, wb)
+        tokens += ta
     else:
-        if wa != 1:
-            tokens = np.multiply(ta, wa)
-            tokens += tb if wb == 1 else wb * tb
-        elif wb != 1:
-            tokens = np.multiply(tb, wb)
-            tokens += ta
-        else:
-            tokens = ta + tb
-        tokens /= total
-        norms = _row_norms(tokens)
+        tokens = ta + tb
+    tokens /= total
+    norms = _row_norms(tokens)
     # each row is a weighted mean of two rows in range, so only the weighted
     # sum can overflow; an overflowed token makes its row norm, and so the
     # sum of the norms (all >= 0), non-finite
@@ -628,3 +669,34 @@ def weighted_merge(a: WeightedFrame, b: WeightedFrame) -> WeightedFrame:
     return WeightedFrame._trusted(
         tokens, total, merge_provenance(a.provenance, b.provenance),
         a.context_flag and b.context_flag, norms, _first_below_floor(norms))
+
+
+def _merge_between(left: WeightedFrame | None, a: WeightedFrame, b: WeightedFrame,
+                   right: WeightedFrame | None):
+    """``weighted_merge(a, b)`` and its similarities to both neighbours, in one row job.
+
+    For frames of at least ``_SPLIT_VALUES`` values, all of one shape.
+    Returns ``(merged, frame_pair_similarity(left, merged),
+    frame_pair_similarity(merged, right))``, with None for an absent
+    neighbour, bitwise those calls' values. It raises what they raise, in
+    their order: the overflow, then a refused row of the left pair, then one
+    of the right pair. An overflowing merge may also warn of an invalid
+    value: its neighbour dots were taken in the same job, before the test.
+    """
+    ta, tb = a.tokens, b.tokens
+    n = ta.shape[0]
+    tokens, norms, dots = _aligned(ta.shape), np.empty(n), np.empty((2, n))
+    _split_rows(_merge_rows, n, tokens, norms, ta, a.weight, tb, b.weight,
+                _aligned(ta.shape), dots, None if left is None else left.tokens,
+                None if right is None else right.tokens)
+    np.sqrt(norms, out=norms)
+    # as weighted_merge: only the weighted sum can overflow
+    if not math.isfinite(np.add.reduce(norms)):
+        raise ValueError("merged token matrix overflows")
+    tokens.setflags(write=False)
+    norms.setflags(write=False)
+    merged = WeightedFrame._trusted(
+        tokens, a.weight + b.weight, merge_provenance(a.provenance, b.provenance),
+        a.context_flag and b.context_flag, norms, _first_below_floor(norms))
+    return (merged, None if left is None else _pair_mean(left, merged, dots[0]),
+            None if right is None else _pair_mean(merged, right, dots[1]))

@@ -6,7 +6,10 @@ and larger input weights, for fill merging and long-term compaction alike.
 The similarity and relevance kernels are held bitwise to the plain numpy
 expressions they replace, written out here. With the row split forced on
 every frame of two or more rows, the kernels are held bitwise to their
-unsplit runs, and the row worker thread to its rules.
+unsplit runs, and the row worker thread to its rules. A large frame's merge
+and its two neighbour similarities are one row job on 64-byte-aligned
+buffers: it is held to the unfused calls' bits and refusals, and the
+kernels to the same bits at every alignment of their inputs.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ from mces import (
 )
 
 from mces import frames as frames_module
+from mces.consolidation import _merge_down
 from mces.frames import (
     _adjacent_similarities,
+    _aligned,
     _first_below_floor,
     _row_norms,
     _split_rows,
@@ -49,6 +54,7 @@ from mces.frames import (
 )
 
 import oracles
+import test_pipeline
 from conftest import oracle_case
 
 SHAPES = [(32, 256), (128, 768), (16, 128)]
@@ -382,7 +388,21 @@ def test_split_kernels_are_bitwise_the_unsplit_run(shape, split_rows):
     assert len(row_workers()) == 1
 
 
-def test_split_merge_is_bitwise_the_unsplit_merge_on_c1_cases(split_rows):
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """Each _merge_between call, as (has a left neighbour, has a right one)."""
+    calls = []
+    fused = frames_module._merge_between
+
+    def spy(left, a, b, right):
+        calls.append((left is not None, right is not None))
+        return fused(left, a, b, right)
+
+    monkeypatch.setattr(frames_module, "_merge_between", spy)
+    return calls
+
+
+def test_split_merge_is_bitwise_the_unsplit_merge_on_c1_cases(split_rows, fused_calls):
     # every fifth case of acceptance check c1: 1 to 4 token rows per frame
     for case in range(0, 1000, 5):
         tokens, target = oracle_case(case)
@@ -400,6 +420,181 @@ def test_split_merge_is_bitwise_the_unsplit_merge_on_c1_cases(split_rows):
         oracle, oracle_trace = oracles.naive_greedy_merge(frames, target)
         assert got_trace == tuple(oracle_trace), case
         assert_same_entries(got, oracle)
+    # the split runs took the fused path, with and without each neighbour
+    assert {(True, True), (False, True), (True, False)} <= set(fused_calls)
+
+
+def twin_window(shape, where):
+    """Six weighted frames whose pair at ``where`` is by far the most similar."""
+    frames = weighted_frames(21, 6, shape, 3)
+    j = where % 5
+    twin = frames[j].tokens + 0.01 * np.random.default_rng(22).standard_normal(shape)
+    frames[j + 1] = WeightedFrame(twin, frames[j + 1].weight, frames[j + 1].provenance)
+    return frames
+
+
+def merged_down(shape, where):
+    """_merge_down's first merge on a twin window, then the rest down to one frame."""
+    work = twin_window(shape, where)
+    sims = _adjacent_similarities(work)
+    first = _merge_down(work, sims, len(work) - 1)
+    figures = [first, list(sims), [(f.tokens.tobytes(), f.norms.tobytes(), f._bad_row,
+                                    f.weight, f.provenance) for f in work]]
+    figures.append(_merge_down(work, sims, 1))
+    figures.append((work[0].tokens.tobytes(), work[0].norms.tobytes(), sims))
+    return figures
+
+
+@pytest.mark.parametrize("where", [0, 2, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("shape", ODD_SHAPES + [(16, 128)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fused_merge_is_bitwise_the_unsplit_loop(shape, where, split_rows, fused_calls):
+    split_rows(False)
+    want = merged_down(shape, where)
+    assert not fused_calls
+    split_rows(True)
+    got = merged_down(shape, where)
+    assert got == want
+    # the first merge is the twin pair's: no left neighbour at the first
+    # index, no right one at the last
+    assert got[0][0][1] == where % 5
+    assert fused_calls[0] == (where != 0, where != -1)
+    assert len(fused_calls) == 5
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES + [(16, 128)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fused_compaction_is_bitwise_the_unsplit_store(shape, split_rows, fused_calls):
+    stores = []
+    for on in (False, True):
+        split_rows(on)
+        memory = LongTermMemory(5, *shape)
+        for seed in (1, 2, 3):
+            memory.append(weighted_frames(seed, 6, shape, 5))
+        stores.append((memory.position_ids, memory._pair_sims,
+                       [(e.tokens.tobytes(), e.norms.tobytes(), e.weight, e.provenance)
+                        for e in memory.entries]))
+    assert stores[1] == stores[0]
+    assert fused_calls
+    # and against the naive compaction, still split
+    test_compaction_is_bitwise_the_naive_loop(shape, 5)
+
+
+def unfused(left, a, b, right):
+    """_merge_down's steps below the threshold: the merge, then each similarity."""
+    merged = weighted_merge(a, b)
+    return (merged, None if left is None else frame_pair_similarity(left, merged),
+            None if right is None else frame_pair_similarity(merged, right))
+
+
+def refusal_cases(shape, row):
+    """(left, a, b, right) quadruples whose merge or similarities refuse."""
+    r = np.random.default_rng(31)
+    good = [WeightedFrame.from_tokens(r.standard_normal(shape), i) for i in range(4)]
+    zero = good[0].tokens.copy()
+    zero[row] = 0.0
+    bad = WeightedFrame.from_tokens(zero, 0)
+    opposite = good[2].tokens.copy()
+    opposite[row] = -good[1].tokens[row]
+    cancels = WeightedFrame.from_tokens(opposite, 2)
+    # valid frames whose weighted sum overflows: weights above about 1e154
+    w = 10 ** 160
+    huge = [WeightedFrame(np.full(shape, 1e150), weight=w, provenance=((i * w, (i + 1) * w, 1),))
+            for i in (1, 2)]
+    return {
+        "overflow": (bad, *huge, bad),
+        "merged-row-left": (good[0], good[1], cancels, good[3]),
+        "merged-row-right-only": (None, good[1], cancels, good[3]),
+        "bad-left": (bad, good[1], good[2], good[3]),
+        "bad-right": (good[0], good[1], good[2], bad),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("row", [1, 3], ids=["callers-half", "workers-half"])
+@pytest.mark.parametrize("case", ["overflow", "merged-row-left", "merged-row-right-only",
+                                  "bad-left", "bad-right"])
+def test_fused_merge_raises_what_the_unfused_calls_raise(case, row, split_rows):
+    shape = (5, 16)
+    split_rows(False)
+    with pytest.raises(Exception) as want:
+        unfused(*refusal_cases(shape, row)[case])
+    split_rows(True)
+    with pytest.raises(type(want.value)) as got:
+        frames_module._merge_between(*refusal_cases(shape, row)[case])
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "token_index", None) == getattr(want.value, "token_index", None)
+    expected = {"overflow": "merged token matrix overflows",
+                "merged-row-left": f"token {row} of second frame has near-zero norm",
+                "merged-row-right-only": f"token {row} of first frame has near-zero norm",
+                "bad-left": f"token {row} of first frame has near-zero norm",
+                "bad-right": f"token {row} of second frame has near-zero norm"}
+    assert str(got.value) == expected[case]
+
+
+@pytest.mark.parametrize("question", [None, test_pipeline.Q4[:2]], ids=["agnostic", "question"])
+@pytest.mark.parametrize("call", ["step", "flush"])
+def test_a_raising_fused_append_changes_nothing(tmp_path, call, question, split_rows,
+                                               fused_calls):
+    # the store's compaction refuses inside a fused merge with a right
+    # neighbour; the fills' two-frame merges are fused too
+    split_rows(True)
+    keeps_state = test_pipeline.TestFailedConsolidationKeepsState()
+    keeps_state.test_raising_long_term_append_changes_nothing(tmp_path, call, question)
+    assert (False, True) in fused_calls
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 7), (3, 7), (5, 16), (128, 768)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_aligned_buffers_start_on_a_64_byte_line(shape):
+    for _ in range(8):
+        a = _aligned(shape)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+
+
+def test_large_merged_tokens_are_aligned_and_read_only():
+    a, b, c = weighted_frames(4, 3, (128, 768), 3)
+    assert a.tokens.size >= frames_module._SPLIT_VALUES
+    merged = [weighted_merge(a, b), *frames_module._merge_between(None, a, b, c)[:1],
+              *greedy_merge([a, b, c], 1)[0]]
+    for m in merged:
+        assert m.tokens.ctypes.data % 64 == 0
+        assert m.tokens.flags.c_contiguous and not m.tokens.flags.writeable
+        # the norms stay an owned array
+        assert m.norms.base is None and not m.norms.flags.writeable
+
+
+def at_offset(tokens, k):
+    """A read-only copy of ``tokens`` whose data starts 8 * k bytes past a 64-byte line."""
+    moved = _aligned((tokens.size + 8,))[k:k + tokens.size].reshape(tokens.shape)
+    moved[...] = tokens
+    moved.setflags(write=False)
+    assert moved.ctypes.data % 64 == 8 * k
+    return moved
+
+
+def offset_figures(shape, k):
+    """What the consolidation kernels compute on one window placed at offset k."""
+    q, window = question_frames(5, shape)
+    window = [WeightedFrame._trusted(at_offset(f.tokens, k), f.weight, f.provenance, False)
+              for f in window]
+    sims = _adjacent_similarities(window)
+    merged = [weighted_merge(a, b) for a, b in zip(window, window[1:])]
+    return (sims, [frame_pair_similarity(a, b) for a, b in zip(merged, window[1:])],
+            [(m.tokens.tobytes(), m.norms.tobytes()) for m in merged],
+            relevance_score(window, at_offset(q, k)), relevance_score(merged, q))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "split"])
+@pytest.mark.parametrize("shape", MEAN_SHAPES + ODD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_kernels_give_the_same_bits_at_every_input_offset(shape, split, split_rows):
+    # the alignment of the large path's buffers changes no value: numpy's
+    # float64 loops give the same bits wherever their inputs start
+    split_rows(split)
+    want = offset_figures(shape, 0)
+    for k in range(1, 8):
+        assert offset_figures(shape, k) == want, k
 
 
 @pytest.mark.parametrize("dtype", ["<U8", object])

@@ -592,20 +592,28 @@ class TestWholePipelineOracle:
 
 def test_split_rows_are_bitwise_the_unsplit_pipeline(split_rows):
     # the oracle's configs (1 to 3 token rows) with every frame of two or
-    # more rows split between the caller and the row worker
+    # more rows split between the caller and the row worker: every merge is
+    # one row job with its neighbour similarities, and the merges it picks
+    # are in each report's trace. Under merged_tokens (a config whose
+    # base_target is its capacity cannot re-seed) the fills carry context
+    # flags and provenance counts through it too.
     oracle = TestWholePipelineOracle()
-    for i in range(300):
-        n_tokens, dims, cfg, question, ltm_capacity, frames = oracle.case(i)
-        stores = []
-        for on in (False, True):
-            split_rows(on)
-            pipe = Pipeline(n_tokens, dims, cfg, question=question,
-                            ltm_capacity=ltm_capacity, reinit_mode="none")
-            reports = pipe.run_stream(frames)
-            stores.append((pipe.long.entries, pipe.long.position_ids,
-                           [rep.relevance for rep in reports]))
-        (want, want_ids, want_scores), (got, got_ids, got_scores) = stores
-        assert (got_ids, got_scores) == (want_ids, want_scores), i
-        for g, w in zip(got, want, strict=True):
-            assert g.tokens.tobytes() == w.tokens.tobytes(), i
-            assert (g.weight, g.provenance) == (w.weight, w.provenance), i
+    for reinit_mode in ("none", "merged_tokens"):
+        for i in range(300):
+            n_tokens, dims, cfg, question, ltm_capacity, frames = oracle.case(i)
+            if reinit_mode != "none" and cfg.base_target >= cfg.capacity:
+                continue
+            runs = []
+            for on in (False, True):
+                split_rows(on)
+                pipe = Pipeline(n_tokens, dims, cfg, question=question,
+                                ltm_capacity=ltm_capacity, reinit_mode=reinit_mode)
+                reports = pipe.run_stream(frames)
+                runs.append((pipe.long.entries, pipe.long.position_ids, pipe.long._pair_sims,
+                             [(rep.relevance, rep.trace) for rep in reports]))
+            (want, *want_rest), (got, *got_rest) = runs
+            assert got_rest == want_rest, (reinit_mode, i)
+            for g, w in zip(got, want, strict=True):
+                assert g.tokens.tobytes() == w.tokens.tobytes(), (reinit_mode, i)
+                assert (g.weight, g.provenance, g.context_flag) == \
+                    (w.weight, w.provenance, w.context_flag), (reinit_mode, i)
