@@ -26,7 +26,6 @@ from .harness import (
     BASELINES,
     PARAMS,
     VALUE_ALIASES,
-    _RETIRED,
     ExperimentSpec,
     _row_count,
     apply_params,
@@ -41,7 +40,7 @@ from .streamio import SyntheticSpec, iter_stream, iter_synthetic, write_stream
 # unused here; kept only so bench/spans.py can wrap cli.read_stream
 from .streamio import read_stream  # noqa: F401
 
-# the top-level keys an experiment --config may hold besides harness._RETIRED
+# the top-level keys an experiment --config may hold
 _CONFIG_KEYS = ("cfg", "reinit", "ltm_cap", "stream", "synthetic", "question",
                 "seeds", "policies", "sweep")
 
@@ -112,7 +111,7 @@ def _parse_segments(value):
 
 def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
     doc = {} if args.config is None else read_json(args.config)
-    _check_keys(doc, _CONFIG_KEYS, _RETIRED)
+    _check_keys(doc, _CONFIG_KEYS)
     with _reading(_inputs(args)):
         cfg_doc = dict(doc.get("cfg", {}))
         # flags win over the config's top-level run parameters
@@ -174,18 +173,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    # run, sweep and compare: the command's own check, then harness.run
     spec = _build_spec(args)
-    if args.command == "sweep" and not spec.sweep:
-        raise ConfigError("sweep needs at least one axis")
-    if args.command == "compare" and len(spec.policies) < 2:
-        raise ConfigError("compare needs at least two --policies")
-    snapshot = getattr(args, "snapshot", False)
-    if snapshot and (_row_count(spec) != 1 or spec.policies[0] in BASELINES):
+    if args.snapshot and (_row_count(spec) != 1 or spec.policies[0] in BASELINES):
         raise ConfigError("--snapshot needs a run of one row with a pipeline policy")
     last = []
     _emit(run(spec, _last_pipeline=last), args)
-    if snapshot:
+    if args.snapshot:
         print(export_pipeline(last[0], os.path.join(args.out, "snapshot.json"))[0])
     return 0
 
@@ -205,6 +198,8 @@ def _cmd_bench_mem(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     if args.stream:
         header, question, frames = iter_stream(args.stream)
         # one pass checks every value and keeps one float32 norm per frame,
@@ -218,8 +213,6 @@ def _cmd_inspect(args) -> int:
         print(f"  frame norm min {norms.min():.4f} mean {norms.mean():.4f} "
               f"max {norms.max():.4f}")
         return 0
-    if args.limit < 0:
-        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     if args.snapshot:
         # the one snapshot reader: anything it cannot resume is refused
         pipe = import_pipeline(args.snapshot)
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_file", default="stream.mces")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("run", help="run policies over a stream")
+    p = sub.add_parser("run", help="run policies over a stream, or a sweep grid")
     _add_common(p)
     p.add_argument("--snapshot", action="store_true",
                    help="also export a pipeline snapshot (one row of a pipeline policy)")
@@ -287,14 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-list", default="100,1000,10000")
     p.add_argument("--assert", dest="assert_gate", action="store_true")
     p.set_defaults(handler=_cmd_bench_mem)
-
-    p = sub.add_parser("sweep", help="config grid sweep")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_run)
-
-    p = sub.add_parser("compare", help="side-by-side policy comparison")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("inspect", help="summarize a stream, snapshot, or report")
     p.add_argument("--stream")

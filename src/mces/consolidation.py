@@ -46,21 +46,14 @@ __all__ = [
     "greedy_merge",
 ]
 
-# retired config keys, each with the one value a config or snapshot may carry
-_RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False,
-            "basis": "mean", "question_required": False, "windows_per_fill": 1}
 _KINDS = {"int": int, "float": float}
 
 
-def _check_keys(doc: dict, known, retired: dict, where: str = "config") -> None:
-    # refuse keys outside known and retired; pop each retired key at its one value
-    unknown = sorted(set(doc) - set(known) - set(retired))
+def _check_keys(doc: dict, known, where: str = "config") -> None:
+    # refuse keys outside known, naming them all
+    unknown = sorted(set(doc) - set(known))
     if unknown:
         raise InvalidSpec(f"unknown {where} keys {unknown}")
-    for key, only in retired.items():
-        value = doc.pop(key, only)
-        if type(value) is not type(only) or value != only:
-            raise InvalidSpec(f"retired {where} key {key!r} must be {only!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,23 +91,17 @@ class ConsolidationConfig:
     def from_dict(cls, doc: dict) -> "ConsolidationConfig":
         """Build a config from a plain dict (a --config ``cfg`` or a snapshot).
 
-        Unknown keys raise InvalidSpec. The retired keys are accepted only at
-        their one value: windows_per_fill at 1, and window_size, an int, only
-        when it equals capacity (the fill is the one window).
+        Any key but the four fields raises InvalidSpec. Only the snapshot
+        format-1 reader knows the retired keys its files carry; it takes
+        them out before it calls this.
         """
-        doc = dict(doc)
-        capacity = checked("capacity", int, doc.get("capacity", cls.capacity))
-        window_size = checked("window_size", int, doc.pop("window_size", capacity))
-        if window_size != capacity:
-            raise InvalidSpec(f"retired config key 'window_size' must equal capacity "
-                              f"{capacity}, got {window_size}")
-        _check_keys(doc, {f.name for f in fields(cls)}, _RETIRED)
+        _check_keys(doc, {f.name for f in fields(cls)})
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        """Snapshot form. It still writes the retired keys (one window per
-        fill), so readers of snapshot version 1 without from_dict load it."""
-        return {**asdict(self), **_RETIRED, "window_size": self.capacity}
+        """The four fields. The snapshot format-1 writer adds the retired
+        keys its files carry."""
+        return asdict(self)
 
     def weak_target(self) -> int:
         """Slot budget for an irrelevant window: round-half-up, clamped."""

@@ -87,7 +87,7 @@ class MissingQuestion(ConfigError):
 
 
 class GridTooLarge(ConfigError):
-    """A sweep grid exceeds the configured safety cap."""
+    """A sweep grid makes more rows than one run may."""
 
 
 class SeedTooLarge(McesError):

@@ -72,10 +72,10 @@ PARAMS = {
 PARAM_ALIASES = {"l_short": "k", "l_long": "ltm_cap"}
 VALUE_ALIASES = {"reinit": {"merged": "merged_tokens"}}
 _CFG_FIELDS = frozenset(f.name for f in fields(ConsolidationConfig))
-# frames no_memory keeps, ema's decay and the most rows in one run; a
-# --config may still carry these retired keys, at these values only
-_RETIRED = {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}
-_SAMPLE_COUNT, _EMA_DECAY, _MAX_GRID_POINTS = _RETIRED.values()
+# frames no_memory keeps, ema's decay and the most rows in one run
+_SAMPLE_COUNT = 16
+_EMA_DECAY = 0.5
+_MAX_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ and import reads it one chunk at a time, rebuilding each entry as its frame
 arrives, so neither holds more of it than one chunk. Export refuses a token
 outside the container's float32 range.
 
+Format 1 is the only input that still knows the retired config keys: export
+writes each at its one value, and import accepts each at that value only.
+
 Import refuses, with InvalidSpec, what could not resume. Here: a missing key
 or a mistyped value (a scalar by :func:`mces.errors.checked`), and, before
 the sidecar is opened, a store listed over its capacity.
@@ -41,6 +44,10 @@ __all__ = [
 ]
 
 SNAPSHOT_VERSION = 1
+# format 1's retired config keys, each with the one value its files carry;
+# window_size, the one window per fill, is written and read as the capacity
+_RETIRED = {"question_similarity": "pooled", "relevance_exclude_context": False,
+            "basis": "mean", "question_required": False, "windows_per_fill": 1}
 
 
 def _frame_meta(frame: WeightedFrame, position_id: int | None = None) -> dict:
@@ -69,7 +76,7 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
     doc = {
         "kind": "pipeline_snapshot",
         "snapshot_version": SNAPSHOT_VERSION,
-        "config": pipe.cfg.to_dict(),
+        "config": {**pipe.cfg.to_dict(), **_RETIRED, "window_size": pipe.cfg.capacity},
         "n_tokens": pipe.short.n_tokens,
         "dims": pipe.short.dims,
         "ltm_capacity": pipe.long.capacity,
@@ -145,6 +152,18 @@ def _field(doc: dict, key: str, kind, where: str = "snapshot"):
     return doc[key]
 
 
+def _read_config(doc: dict) -> ConsolidationConfig:
+    # pop each retired key at its one value and type (window_size at the
+    # capacity); from_dict refuses any other key
+    config = dict(_field(doc, "config", dict))
+    capacity = config.get("capacity", ConsolidationConfig.capacity)
+    for key, only in {**_RETIRED, "window_size": capacity}.items():
+        value = config.pop(key, only)
+        if type(value) is not type(only) or value != only:
+            raise InvalidSpec(f"retired config key {key!r} must be {only!r}, got {value!r}")
+    return ConsolidationConfig.from_dict(config)
+
+
 def _rebuild_frame(tokens, meta) -> WeightedFrame:
     try:
         return WeightedFrame(tokens, meta["weight"], meta["provenance"],
@@ -166,7 +185,7 @@ def import_pipeline(json_path: str) -> Pipeline:
         raise InvalidSpec(f"{json_path!r} is not a pipeline snapshot")
     if (version := _field(doc, "snapshot_version", int)) != SNAPSHOT_VERSION:
         raise InvalidSpec(f"unsupported snapshot version {version}")
-    cfg = ConsolidationConfig.from_dict(_field(doc, "config", dict))
+    cfg = _read_config(doc)
     question = _field(doc, "question", (list, type(None)))
     pipe = Pipeline(
         _field(doc, "n_tokens", int), _field(doc, "dims", int), cfg,
@@ -184,7 +203,7 @@ def import_pipeline(json_path: str) -> Pipeline:
             raise InvalidSpec(f"snapshot {where} holds {len(meta)} frames, "
                               f"over the capacity {capacity}")
     counters = _field(doc, "counters", dict)
-    _check_keys(counters, COUNTERS, {}, "snapshot counters")
+    _check_keys(counters, COUNTERS, "snapshot counters")
     counters = {name: _field(counters, name, int, "snapshot counters") for name in COUNTERS}
     position_ids = [_field(meta, "position_id", int, "long-term entry") for meta in long_meta]
     matrices = _sidecar_frames(doc, json_path, len(long_meta) + len(short_meta))

@@ -31,6 +31,14 @@ def gen(tmp_path, name="s.mces", extra=()):
     return path
 
 
+# the retired keys, each at the one value it once had to hold: format 1
+# snapshots still carry the cfg keys (window_size at the capacity, 16 here)
+RETIRED_CFG_KEYS = {"question_similarity": "pooled", "relevance_exclude_context": False,
+                    "basis": "mean", "question_required": False, "windows_per_fill": 1,
+                    "window_size": 16}
+RETIRED_TOP_KEYS = {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
@@ -390,7 +398,7 @@ class TestRunParameters:
 
     def test_sweep_takes_reinit_aliases(self, tmp_path):
         cpath = write_config(tmp_path, sweep={"reinit": ["merged", "none"]})
-        assert main(["sweep", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
         rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
         assert [r["params"]["reinit"] for r in rows] == ["merged_tokens", "none"]
 
@@ -420,8 +428,7 @@ class TestRunParameters:
     ])
     def test_mistyped_value_names_the_parameter(self, tmp_path, capsys, overrides, name):
         cpath = write_config(tmp_path, **overrides)
-        assert main(["sweep" if "sweep" in overrides else "run", "--config", cpath,
-                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and name in err
 
@@ -441,16 +448,6 @@ class TestChecksBeforeAnyRow:
         assert err.startswith("config error") and key in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_retired_cfg_keys_at_their_value_run(self, tmp_path):
-        cpath = write_config(tmp_path, cfg={
-            "base_target": 4, "alpha": 0.25, "question_similarity": "pooled",
-            "relevance_exclude_context": False, "basis": "mean",
-            "question_required": False})
-        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
-        doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert sorted(doc["spec_echo"]["cfg"]) == ["alpha", "base_target", "capacity", "sigma"]
-        assert "basis" not in doc["rows"][0]["params"]
-
     def test_retired_basis_flag_and_sweep_axis_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as caught:
             main(["run", "--config", write_config(tmp_path), "--basis", "mean",
@@ -458,7 +455,7 @@ class TestChecksBeforeAnyRow:
         assert caught.value.code == 2
         assert "--basis" in capsys.readouterr().err
         cpath = write_config(tmp_path, sweep={"basis": ["mean"]})
-        assert main(["sweep", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "'basis'" in err
         assert not (tmp_path / "out").exists()
@@ -470,12 +467,11 @@ class TestChecksBeforeAnyRow:
                       "--out", str(tmp_path / "out")])
             assert caught.value.code == 2
             assert "--reinit" in capsys.readouterr().err
-        for command, overrides in (("run", {"reinit": "last_k"}),
-                                   ("run", {"reinit": "uniform_sample"}),
-                                   ("sweep", {"sweep": {"reinit": ["uniform"]}}),
-                                   ("sweep", {"sweep": {"reinit": ["none", "last"]}})):
+        for overrides in ({"reinit": "last_k"}, {"reinit": "uniform_sample"},
+                          {"sweep": {"reinit": ["uniform"]}},
+                          {"sweep": {"reinit": ["none", "last"]}}):
             cpath = write_config(tmp_path, **overrides)
-            assert main([command, "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+            assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error") and "reinit_mode" in err
         assert not (tmp_path / "out").exists()
@@ -510,25 +506,22 @@ class TestChecksBeforeAnyRow:
         assert rows == []
         assert not (tmp_path / "out").exists()
 
-    def test_retired_keys_load_only_at_their_value(self, tmp_path, capsys):
-        # every run keeps 16 no_memory frames, decays ema by 0.5 and caps a
-        # grid at 1024 rows; a config may name these values and no other
-        shas = []
-        for retired in ({}, {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}):
-            cpath = write_config(tmp_path, policies=["no_memory", "ema"], **retired)
-            assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 0
-            doc = json.loads((tmp_path / "out" / "report.json").read_text())
-            assert not set(retired) & set(doc["spec_echo"])
-            assert doc["rows"][0]["counters"]["retained_frames"] == 16
-            shas.append(doc["canonical_sha256"])
-        assert shas[0] == shas[1]
-        for key, value in (("sample_count", 8), ("sample_count", 16.0),
-                           ("ema_decay", 0.9), ("max_grid_points", 10)):
-            cpath = write_config(tmp_path, **{key: value})
-            assert main(["run", "--config", cpath, "--out", str(tmp_path / "bad")]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error") and repr(key) in err
-        assert not (tmp_path / "bad").exists()
+    @pytest.mark.parametrize("key", [*RETIRED_CFG_KEYS, *RETIRED_TOP_KEYS])
+    @pytest.mark.parametrize("command", ["run", "plant-eval", "bench-mem"])
+    def test_retired_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key):
+        # even at the one value every run used, a retired key is unknown
+        rows = []
+        monkeypatch.setattr(harness, "_run_single", lambda *args: rows.append(args))
+        if key in RETIRED_CFG_KEYS:
+            cpath = write_config(tmp_path, cfg={"base_target": 4, "alpha": 0.25,
+                                                key: RETIRED_CFG_KEYS[key]})
+        else:
+            cpath = write_config(tmp_path, **{key: RETIRED_TOP_KEYS[key]})
+        assert main([command, "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"unknown config keys ['{key}']" in err
+        assert rows == []
+        assert not (tmp_path / "out").exists()
 
     def test_misspelled_keys_exit_2(self, tmp_path, capsys, monkeypatch):
         rows = []
@@ -552,20 +545,13 @@ class TestChecksBeforeAnyRow:
         lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
             encoding="utf-8").splitlines()
         start = lines.index("| key | holds |") + 2
-        accepted, retired = [], {}
+        accepted = []
         for line in lines[start:]:
             if not line.startswith("|"):
                 break
-            key, holds = (cell.strip() for cell in line.strip("|").split("|"))
-            key = re.fullmatch(r"`(\w+)`", key).group(1)
-            only = re.match(r"retired: only `([^`]+)`", holds)
-            if only is None:
-                accepted.append(key)
-            else:
-                retired[key] = json.loads(only.group(1))
+            key = line.strip("|").split("|")[0].strip()
+            accepted.append(re.fullmatch(r"`(\w+)`", key).group(1))
         assert sorted(accepted) == sorted(cli._CONFIG_KEYS)
-        assert {k: (type(v), v) for k, v in retired.items()} == {
-            k: (type(v), v) for k, v in harness._RETIRED.items()}
 
     @pytest.mark.parametrize("extra", [
         ("--policies", "ema"),
@@ -605,7 +591,7 @@ def _malformed(tmp_path, case):
         return ["run", "--config", write_config(
             tmp_path, synthetic={"frame_count": 40, "n_tokens": 2, "dims": 8, "colour": 1})]
     if case == "sweep_scalar":
-        return ["sweep", "--config", write_config(tmp_path, sweep={"k": 5})]
+        return ["run", "--config", write_config(tmp_path, sweep={"k": 5})]
     if case == "seeds_string":
         return ["run", "--config", write_config(tmp_path, seeds="ab")]
     if case == "ema_decay_string":
@@ -660,6 +646,9 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
 
 
 class TestSweepAndCompare:
+    """A sweep is run --config with a "sweep" object, a comparison is run
+    --policies a,b; neither has a command of its own."""
+
     def test_sweep_grid(self, tmp_path):
         config = {
             "synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
@@ -669,25 +658,29 @@ class TestSweepAndCompare:
         }
         cpath = tmp_path / "sweep.json"
         cpath.write_text(json.dumps(config))
-        rc = main(["sweep", "--config", str(cpath), "--out", str(tmp_path / "out")])
+        rc = main(["run", "--config", str(cpath), "--out", str(tmp_path / "out")])
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(doc["rows"]) == 4
+        del config["sweep"]
+        cpath.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cpath), "--out", str(tmp_path / "one")]) == 0
+        assert len(json.loads((tmp_path / "one" / "report.json").read_text())["rows"]) == 1
 
-    def test_sweep_without_axes_exit_2(self, tmp_path):
-        stream = gen(tmp_path)
-        rc = main(["sweep", "--stream", stream, "--m0", "4", "--alpha", "0.25",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_sweep_and_compare_commands_exit_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--stream", gen(tmp_path), "--m0", "4", "--alpha", "0.25",
+                  "--policies", "ema,question_merge", "--out", str(tmp_path / "out")])
+        assert caught.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_compare_needs_two_policies(self, tmp_path):
-        stream = gen(tmp_path)
-        rc = main(["compare", "--stream", stream, "--m0", "4", "--alpha", "0.25",
-                   "--policies", "ema", "--out", str(tmp_path / "out")])
-        assert rc == 2
-        rc = main(["compare", "--stream", stream, "--m0", "4", "--alpha", "0.25",
-                   "--policies", "ema,question_merge", "--out", str(tmp_path / "out")])
+    def test_compare_is_run_with_policies(self, tmp_path):
+        rc = main(run_args(tmp_path, gen(tmp_path), "--policies", "ema,question_merge"))
         assert rc == 0
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert [r["policy"] for r in rows] == ["ema", "question_merge"]
 
 
 class TestInspect:
@@ -747,6 +740,14 @@ class TestInspect:
         # a negative limit used to slice from the end and print no entry
         path = str(Path(__file__).parent / "fixtures" / "snapshot_v1.json")
         assert main(["inspect", "--snapshot", path, "--limit", "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--limit" in err
+
+    def test_negative_limit_exit_2_for_a_stream(self, tmp_path, capsys):
+        # --stream prints no entries, but a negative limit is refused all the same
+        stream = gen(tmp_path)
+        capsys.readouterr()
+        assert main(["inspect", "--stream", stream, "--limit", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--limit" in err
 

@@ -35,50 +35,23 @@ class TestConfig:
         assert (cfg.capacity, cfg.base_target, cfg.alpha, cfg.sigma) == (16, 4, 0.25, 0.25)
         assert [f.name for f in fields(cfg)] == ["capacity", "base_target", "alpha", "sigma"]
 
-    def test_from_dict_accepts_legacy_window_keys_matching_capacity(self):
-        # one window per fill is the only layout: four gated windows per fill
-        # would silently run as one
-        with pytest.raises(InvalidSpec, match="retired config key 'window_size'"):
-            ConsolidationConfig.from_dict(
-                {"capacity": 16, "window_size": 4, "windows_per_fill": 4})
-        with pytest.raises(InvalidSpec, match="retired config key 'windows_per_fill'"):
-            ConsolidationConfig.from_dict(
-                {"capacity": 16, "window_size": 16, "windows_per_fill": 4})
-        cfg = ConsolidationConfig.from_dict(
-            {"capacity": 16, "window_size": 16, "windows_per_fill": 1})
-        assert cfg == ConsolidationConfig(capacity=16)
-        assert ConsolidationConfig.from_dict({"capacity": 8, "window_size": 8}).capacity == 8
-        with pytest.raises(InvalidSpec):
-            ConsolidationConfig.from_dict(
-                {"capacity": 16, "window_size": 4, "windows_per_fill": 3})
-        with pytest.raises(InvalidSpec):
-            ConsolidationConfig.from_dict({"capacity": 8, "windows_per_fill": 2})
+    @pytest.mark.parametrize("key, value", [
+        ("question_similarity", "pooled"), ("relevance_exclude_context", False),
+        ("basis", "mean"), ("question_required", False), ("windows_per_fill", 1),
+        ("window_size", 16),
+    ])
+    def test_from_dict_refuses_the_retired_keys(self, key, value):
+        # even at their one value; only the snapshot format-1 reader takes them
+        with pytest.raises(InvalidSpec, match=rf"unknown config keys \['{key}'\]"):
+            ConsolidationConfig.from_dict({"capacity": 16, key: value})
+        assert ConsolidationConfig(capacity=16).to_dict() == {
+            "capacity": 16, "base_target": 4, "alpha": 0.25, "sigma": 0.25}
 
     def test_from_dict_rejects_unknown_keys_and_bad_types(self):
         with pytest.raises(InvalidSpec, match="bogus"):
             ConsolidationConfig.from_dict({"bogus": 1})
-        for bad in ({"capacity": "sixteen"}, {"window_size": None}):
-            with pytest.raises(InvalidSpec):
-                ConsolidationConfig.from_dict(bad)
-        # the legacy window keys are type-checked before they are multiplied
-        for bad, key in (({"window_size": "ab", "windows_per_fill": 3}, "window_size"),
-                         ({"window_size": 8.5, "windows_per_fill": 2}, "window_size"),
-                         ({"window_size": 16, "windows_per_fill": True}, "windows_per_fill"),
-                         ({"capacity": "ab", "windows_per_fill": 3}, "capacity")):
-            with pytest.raises(InvalidSpec, match=key) as caught:
-                ConsolidationConfig.from_dict(bad)
-            assert "abab" not in str(caught.value)
-
-    def test_from_dict_accepts_retired_relevance_keys_at_their_value(self):
-        cfg = ConsolidationConfig.from_dict(
-            {"capacity": 8, "question_similarity": "pooled",
-             "relevance_exclude_context": False, "basis": "mean",
-             "question_required": False})
-        assert cfg == ConsolidationConfig(capacity=8)
-        assert cfg.to_dict()["question_similarity"] == "pooled"
-        assert cfg.to_dict()["relevance_exclude_context"] is False
-        assert cfg.to_dict()["basis"] == "mean"
-        assert cfg.to_dict()["question_required"] is False
+        with pytest.raises(InvalidSpec, match="capacity"):
+            ConsolidationConfig.from_dict({"capacity": "sixteen"})
 
     @pytest.mark.parametrize("key, value", [
         ("question_similarity", "per_token"),

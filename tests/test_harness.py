@@ -33,13 +33,12 @@ from mces import (
     write_stream,
 )
 from mces import harness
-from mces.cli import build_parser, main as cli_main
+from mces.cli import _CONFIG_KEYS, build_parser
 from mces.consolidation import _check_keys
 from mces.harness import (
     BASELINES,
     PARAM_ALIASES,
     PARAMS,
-    _RETIRED,
     _grid,
     _run_single,
     _stream_for,
@@ -102,10 +101,9 @@ class TestExperimentSpec:
         ("ema_decay", 1.0), ("ema_decay", -0.1), ("ema_decay", float("nan")),
     ])
     def test_range_checked_when_built(self, field, value):
-        # retired from the spec: a config that builds one may hold only the
-        # value every run uses
+        # retired from the spec: a config that builds one may not name them
         with pytest.raises(InvalidSpec, match=field):
-            _check_keys({field: value}, (), _RETIRED)
+            _check_keys({field: value}, _CONFIG_KEYS)
         assert not hasattr(ExperimentSpec(synthetic=tiny_synth()), field)
 
     def test_to_dict_echoes_everything(self):
@@ -301,19 +299,6 @@ class TestSweep:
         row = run(spec)["rows"][0]
         assert row["params"]["k"] == 8
         assert row["params"]["alpha"] == 0.5
-
-    def test_sweep_requires_axes(self, tmp_path, capsys):
-        # the sweep command insists on a grid; run takes a spec without one
-        config = {"synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
-                  "cfg": {"base_target": 4, "alpha": 0.25},
-                  "policies": ["stream_merge"]}
-        cpath = tmp_path / "nogrid.json"
-        cpath.write_text(json.dumps(config))
-        assert cli_main(["sweep", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
-        assert "sweep needs at least one axis" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        report = run(ExperimentSpec(synthetic=tiny_synth(), policies=("stream_merge",)))
-        assert len(report["rows"]) == 1
 
     def test_grid_cap(self):
         spec = ExperimentSpec(synthetic=tiny_synth(), seeds=tuple(range(1025)),

@@ -298,6 +298,22 @@ class TestImport:
         assert config["question_required"] is False
         assert import_pipeline(jp).cfg == pipe.cfg
 
+    def test_cfg_block_refused_at_run_loads_in_a_snapshot(self, tmp_path, rng):
+        # format 1 is the one reader that still takes the retired keys
+        cfg = {"capacity": 16, "base_target": 4, "alpha": 0.25, "sigma": 0.25,
+               "question_similarity": "pooled", "relevance_exclude_context": False,
+               "basis": "mean", "question_required": False, "windows_per_fill": 1,
+               "window_size": 16}
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(
+            {"synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 4}, "cfg": cfg}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        pipe = small_pipeline(rng)
+        jp, _ = export_pipeline(pipe, str(tmp_path / "s.json"))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert doc["config"] == cfg
+        assert_same_state(import_pipeline(jp), pipe, tokens_exact=False)
+
     @pytest.mark.parametrize("path, value, match", [
         ((), [], "not a pipeline snapshot"),
         (("config",), None, "'config'"),
