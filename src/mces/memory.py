@@ -31,6 +31,7 @@ from .errors import (
     PositionOutOfRange,
     SeedTooLarge,
     ShapeMismatch,
+    checked,
 )
 from .consolidation import _merge_down
 from .frames import (
@@ -53,7 +54,9 @@ __all__ = [
 
 
 def _frame_shape(n_tokens: int, dims: int) -> tuple[int, int]:
-    # the (n_tokens, dims) a store's frames must have; InvalidSpec unless both >= 1
+    # the (n_tokens, dims) a store's frames must have, as ints by checked;
+    # InvalidSpec unless both are >= 1
+    n_tokens, dims = checked("n_tokens", int, n_tokens), checked("dims", int, dims)
     if n_tokens < 1 or dims < 1:
         raise InvalidSpec(f"bad frame shape ({n_tokens}, {dims})")
     return n_tokens, dims
@@ -66,7 +69,7 @@ class ShortTermBuffer:
     """
 
     def __init__(self, capacity: int, n_tokens: int, dims: int):
-        if capacity < 1:
+        if (capacity := checked("capacity", int, capacity)) < 1:
             raise InvalidSpec(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.n_tokens, self.dims = self._shape = _frame_shape(n_tokens, dims)
@@ -152,7 +155,7 @@ class LongTermMemory:
     """
 
     def __init__(self, capacity: int, n_tokens: int, dims: int):
-        if capacity < 1:
+        if (capacity := checked("long-term capacity", int, capacity)) < 1:
             raise InvalidSpec(f"long-term capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.n_tokens, self.dims = self._shape = _frame_shape(n_tokens, dims)

@@ -95,8 +95,8 @@ def export_pipeline(pipe: Pipeline, json_path: str) -> tuple[str, str | None]:
         "sidecar": None if sidecar_path is None else os.path.basename(sidecar_path),
     }
     with _replacing(json_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # dumps, not dump: only dumps runs the C encoder; the text is the same
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         fh.flush()  # its bytes reach the file before the sidecar replaces its path
         if sidecar_path is not None:
             # one frame at a time, cast to float32 as it is written

@@ -39,6 +39,12 @@ RETIRED_CFG_KEYS = {"question_similarity": "pooled", "relevance_exclude_context"
 RETIRED_TOP_KEYS = {"sample_count": 16, "ema_decay": 0.5, "max_grid_points": 1024}
 
 
+def refusal(name, retired):
+    # what a config error must say: a retired key is unknown, at any value;
+    # any other name is the field or message the check reports
+    return f"unknown config keys ['{name}']" if name in retired else name
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "synthetic": {"frame_count": 40, "n_tokens": 2, "dims": 8},
@@ -437,15 +443,17 @@ class TestChecksBeforeAnyRow:
     """Settings that no row could use exit 2 before any row runs."""
 
     @pytest.mark.parametrize("key, value", [
-        ("capacity", 16.5), ("sigma", True), ("question_required", "no"),
-        ("question_similarity", "per_token"), ("relevance_exclude_context", True),
-        ("basis", "max"), ("question_required", True),
+        ("capacity", 16.5), ("sigma", True), ("capacity", True), ("base_target", 4.5),
+        ("alpha", "0.25"),
+        # retired keys: unknown at any value, like test_retired_key_exits_2's
+        ("question_required", "no"), ("question_similarity", "per_token"),
+        ("relevance_exclude_context", True), ("basis", "max"), ("question_required", True),
     ])
     def test_cfg_block_is_type_checked(self, tmp_path, capsys, key, value):
         cpath = write_config(tmp_path, cfg={"base_target": 4, "alpha": 0.25, key: value})
         assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and key in err
+        assert err.startswith("config error") and refusal(key, RETIRED_CFG_KEYS) in err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_retired_basis_flag_and_sweep_axis_exit_2(self, tmp_path, capsys):
@@ -477,22 +485,34 @@ class TestChecksBeforeAnyRow:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, name", [
+        # retired keys: unknown at any value, like test_retired_key_exits_2's
         ({"max_grid_points": "x"}, "max_grid_points"),
         ({"max_grid_points": 0}, "max_grid_points"),
         ({"sample_count": 16.5, "policies": ["no_memory"]}, "sample_count"),
         ({"ema_decay": True, "policies": ["ema"]}, "ema_decay"),
+        # live fields
+        ({"seeds": ["a"]}, "seeds must be of type int"),
+        ({"seeds": [1.5]}, "seeds must be of type int"),
+        ({"reinit": 1}, "reinit must be of type str"),
+        ({"sweep": {"m0": [2.5]}}, "m0 must be of type int"),
     ])
     def test_experiment_fields_checked(self, tmp_path, capsys, overrides, name):
         cpath = write_config(tmp_path, **overrides)
         assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and name in err
+        assert err.startswith("config error") and refusal(name, RETIRED_TOP_KEYS) in err
 
     @pytest.mark.parametrize("overrides, name", [
+        # retired keys: unknown at any value, like test_retired_key_exits_2's
         ({"sample_count": 0}, "sample_count"),
         ({"sample_count": -1}, "sample_count"),
         ({"ema_decay": 1.0}, "ema_decay"),
         ({"ema_decay": -0.5}, "ema_decay"),
+        # live fields
+        ({"seeds": [-1]}, "seeds must be >= 0"),
+        ({"ltm_cap": 0}, "long-term capacity must be >= 1"),
+        ({"cfg": {"base_target": 4, "alpha": 1.5}}, "alpha must be in"),
+        ({"sweep": {"m0": [0]}}, "base_target must be in"),
     ])
     def test_experiment_fields_range_checked(self, tmp_path, capsys, monkeypatch,
                                              overrides, name):
@@ -502,7 +522,7 @@ class TestChecksBeforeAnyRow:
                              **overrides)
         assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and name in err
+        assert err.startswith("config error") and refusal(name, RETIRED_TOP_KEYS) in err
         assert rows == []
         assert not (tmp_path / "out").exists()
 

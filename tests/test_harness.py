@@ -97,14 +97,19 @@ class TestExperimentSpec:
             ExperimentSpec(synthetic=tiny_synth(), **{field: value})
 
     @pytest.mark.parametrize("field, value", [
+        ("ltm_capacity", 0), ("ltm_capacity", -1), ("seeds", (-3,)), ("seeds", (0, -1)),
+        # retired from the spec: a config that builds one may not name them
         ("sample_count", 0), ("sample_count", -3),
         ("ema_decay", 1.0), ("ema_decay", -0.1), ("ema_decay", float("nan")),
     ])
     def test_range_checked_when_built(self, field, value):
-        # retired from the spec: a config that builds one may not name them
-        with pytest.raises(InvalidSpec, match=field):
-            _check_keys({field: value}, _CONFIG_KEYS)
-        assert not hasattr(ExperimentSpec(synthetic=tiny_synth()), field)
+        if field in ("sample_count", "ema_decay"):
+            with pytest.raises(InvalidSpec, match=rf"unknown config keys \['{field}'\]"):
+                _check_keys({field: value}, _CONFIG_KEYS)
+            assert not hasattr(ExperimentSpec(synthetic=tiny_synth()), field)
+            return
+        with pytest.raises(InvalidSpec, match="long-term capacity must be >= 1|seeds must be >= 0"):
+            ExperimentSpec(synthetic=tiny_synth(), **{field: value})
 
     def test_to_dict_echoes_everything(self):
         spec = ExperimentSpec(synthetic=planted_synth(), seeds=(0, 1),

@@ -55,6 +55,18 @@ class TestConstruction:
             Pipeline(2, 4, full, reinit_mode="merged_tokens")
         Pipeline(2, 4, full, reinit_mode="none")  # identity consolidation is fine
 
+    @pytest.mark.parametrize("size", [True, 2.5, "2"])
+    @pytest.mark.parametrize("where", ["n_tokens", "dims", "ltm_capacity"])
+    def test_sizes_are_checked_ints(self, where, size):
+        sizes = {"n_tokens": 2, "dims": 4, "ltm_capacity": 8, where: size}
+        with pytest.raises(InvalidSpec, match="must be of type int"):
+            Pipeline(sizes["n_tokens"], sizes["dims"], ltm_capacity=sizes["ltm_capacity"])
+
+    def test_numpy_int_sizes_are_read_as_ints(self):
+        pipe = Pipeline(np.int64(2), np.int32(4), ltm_capacity=np.uint16(8))
+        sizes = (pipe.short.n_tokens, pipe.short.dims, pipe.long.capacity)
+        assert sizes == (2, 4, 8) and {type(v) for v in sizes} == {int}
+
     def test_question_validated(self):
         with pytest.raises(InvalidSpec):
             Pipeline(2, 4, question=np.ones(3))

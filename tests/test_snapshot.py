@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
 import operator
 import os
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +134,9 @@ class TestExport:
 
     @pytest.mark.parametrize("fail", ["sidecar_frame", "json_dump"])
     def test_failed_export_leaves_the_previous_snapshot(self, tmp_path, rng, monkeypatch, fail):
-        # a disk that fills after 3 sidecar frames, or json.dump failing after
-        # some bytes: neither path is replaced, and nothing else is left behind
+        # a disk that fills after 3 sidecar frames, or after the first bytes of
+        # the JSON document: neither path is replaced, and nothing else is left
+        # behind
         old = small_pipeline(rng, pushes=20)
         jp, _ = export_pipeline(old, str(tmp_path / "snap.json"))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -150,10 +153,16 @@ class TestExport:
             monkeypatch.setattr(snapshot, "write_stream", lambda path, frames, **kw:
                                 write_stream(path, after_three(frames), **kw))
         else:
-            def partial_dump(obj, fh, **kw):
-                fh.write(json.dumps(obj, **kw)[:40])
-                full_disk()
-            monkeypatch.setattr(snapshot.json, "dump", partial_dump)
+            replacing = snapshot._replacing
+
+            @contextlib.contextmanager
+            def partial_write(path, mode):
+                with replacing(path, mode) as fh:
+                    def write(text):
+                        fh.write(text[:40])
+                        full_disk()
+                    yield types.SimpleNamespace(write=write, flush=fh.flush)
+            monkeypatch.setattr(snapshot, "_replacing", partial_write)
         with pytest.raises(IoFailure, match="No space left"):
             export_pipeline(small_pipeline(rng, pushes=45), jp)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -191,6 +200,19 @@ class TestImport:
         b = (tmp_path / "two.json").read_bytes().replace(b"two.mces", b"x")
         assert a == b
         assert (tmp_path / "one.mces").read_bytes() == (tmp_path / "two.mces").read_bytes()
+
+    def test_numpy_int_sizes_export_and_resume(self, tmp_path, rng):
+        pipe = Pipeline(np.int64(2), np.int64(4), question=Q, ltm_capacity=np.int64(32))
+        plain = Pipeline(2, 4, question=Q, ltm_capacity=32)
+        for _ in range(20):
+            frame = rng.standard_normal((2, 4))
+            pipe.step(frame)
+            plain.step(frame)
+        jp, _ = export_pipeline(pipe, str(tmp_path / "s.json"))
+        export_pipeline(plain, str(tmp_path / "p.json"))
+        assert (tmp_path / "s.json").read_bytes().replace(b"s.mces", b"p.mces") == \
+            (tmp_path / "p.json").read_bytes()
+        assert_same_state(pipe, import_pipeline(jp), tokens_exact=False)
 
     def test_empty_round_trip_still_streams(self, tmp_path, rng):
         jp, _ = export_pipeline(Pipeline(2, 4), str(tmp_path / "e.json"))
