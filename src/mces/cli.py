@@ -143,8 +143,8 @@ def _build_spec(args, *, default_seeds=(0,)) -> ExperimentSpec:
 
         spec = ExperimentSpec(
             synthetic=synthetic, stream_file=stream_file, question=question,
-            cfg=ConsolidationConfig.from_dict(cfg_doc), policies=tuple(policies),
-            seeds=tuple(seeds), sweep=tuple(doc.get("sweep", {}).items()))
+            cfg=ConsolidationConfig.from_dict(cfg_doc), policies=policies,
+            seeds=seeds, sweep=tuple(doc.get("sweep", {}).items()))
         return apply_params(spec, params)
 
 

@@ -134,7 +134,8 @@ class ConsolidationReport:
         }
 
 
-def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
+def relevance_score(frames: Sequence[WeightedFrame], question, *,
+                    _block: np.ndarray | None = None) -> float:
     """Mean question similarity over a window of frames.
 
     Each frame scores cosine(descriptor, question), bitwise what
@@ -143,7 +144,9 @@ def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
     one row per frame, and the norms, cosines, clamp and mean then run once
     for the window: ``np.vecdot`` runs numpy's float64 dot loop, as
     ``ndarray.dot`` does. A width mismatch or a degenerate descriptor runs
-    the per-frame loop, which raises what it raises on its own.
+    the per-frame loop, which raises what it raises on its own. ``_block``,
+    an (m, N, D) fill block whose rows are the tokens of the last m frames,
+    gives their token sums in one reduction.
     """
     frames = list(frames)
     if not frames:
@@ -152,14 +155,20 @@ def relevance_score(frames: Sequence[WeightedFrame], question) -> float:
     nq = _norm(q)
     frames = [f if type(f) is WeightedFrame else WeightedFrame.from_tokens(f, 0)
               for f in frames]
+    front = len(frames) if _block is None else len(frames) - len(_block)
     means = np.empty((len(frames), q.shape[0]))
     counts = []
-    for f, row in zip(frames, means):
+    for f, row in zip(frames[:front], means):
         if f.dims != q.shape[0]:
             return _refused_descriptors(frames, q, nq)
         # bitwise frame_descriptor's mean, divided by N below
         np.add.reduce(f.tokens, axis=0, out=row)
         counts.append(f.n_tokens)
+    if _block is not None:
+        if _block.shape[2] != q.shape[0]:
+            return _refused_descriptors(frames, q, nq)
+        np.add.reduce(_block, axis=1, out=means[front:])
+        counts += [_block.shape[1]] * len(_block)
     np.divide(means, np.reshape(counts, (-1, 1)), out=means)
     norms = np.sqrt(np.vecdot(means, means))
     if not np.minimum.reduce(norms) >= NORM_FLOOR:
@@ -223,13 +232,16 @@ def _merge_down(work: list[WeightedFrame], sims: list[float], target: int):
     return trace
 
 
-def greedy_merge(frames: Sequence[WeightedFrame], target: int):
+def greedy_merge(frames: Sequence[WeightedFrame], target: int, *,
+                 _block: np.ndarray | None = None):
     """Merge adjacent frames until at most ``target`` remain.
 
     Each step merges the adjacent pair with the highest tokenwise similarity
     (lowest index on ties) and records (step, index, similarity). Returns
     (frames, report); the report's relevance fields are None here and get
-    filled in by :func:`mces.pipeline.consolidate`.
+    filled in by :func:`mces.pipeline.consolidate`. ``_block`` holds the
+    last frames' tokens as rows, for the first similarities
+    (``frames._adjacent_similarities``).
     """
     if target < 1:
         raise InvalidTarget(f"target must be >= 1, got {target}")
@@ -237,7 +249,7 @@ def greedy_merge(frames: Sequence[WeightedFrame], target: int):
     input_count = len(work)
     trace = []
     if len(work) > target:
-        trace = _merge_down(work, _adjacent_similarities(work), target)
+        trace = _merge_down(work, _adjacent_similarities(work, _block), target)
     report = ConsolidationReport(
         input_count=input_count, relevance=None, relevant=None,
         target=target, trace=tuple(trace))

@@ -11,14 +11,17 @@ Counts matter: when consolidated frames are fed back in as context seeds, the
 same source index can legitimately contribute to one frame more than once.
 The invariant ``provenance_mass(p) == weight`` holds for every frame.
 
-Each frame owns its tokens: the public constructor validates them and keeps
-a read-only copy. A frame's row norms and the floor check on them (the index
-of the first row whose norm is below NORM_FLOOR) are one lazy cache, filled
-together (``WeightedFrame.norms``). A pair similarity of two frames computes
-only the row dots, and still raises ZeroNorm on every call that meets such a
-row. A merged frame is valid by construction: ``weighted_merge`` builds it
-without the copy and re-validation, and fills its norms and floor check at
-once. A pushed frame costs one check and one copy (``as_token_matrix``);
+A frame's tokens are read-only: the public constructor validates them and
+keeps a copy. Every frame owns its tokens but a fresh pushed frame below
+``_SPLIT_VALUES``, whose tokens are a row of its fill's block until the fill
+is consolidated (``mces.memory``). A frame's row norms and the floor check
+on them (the index of the first row whose norm is below NORM_FLOOR) are one
+lazy cache, filled together (``WeightedFrame.norms``). A pair similarity of
+two frames computes only the row dots, and still raises ZeroNorm on every
+call that meets such a row. A merged frame is valid by construction:
+``weighted_merge`` builds it without the copy and re-validation, and fills
+its norms and floor check at once. A pushed frame costs one check and one
+copy (``as_token_matrix``, into its block row when it has one);
 ``ShortTermBuffer.push`` then compares its shape and sets its unit
 provenance itself. ``from_tokens`` builds a frame the same way from a
 caller's index; it wraps bare matrices given to ``frame_pair_similarity`` or
@@ -50,9 +53,13 @@ A window's first adjacent similarities (``_adjacent_similarities``, a fill's
 merge prologue and a snapshot resume) take whole-window calls: each row
 product goes through one reused frame-sized scratch and is reduced into a
 row of a (frames, N) block, and the square roots, quotients, clamp and means
-run once over the blocks. No array holds more than one frame's tokens.
-``frame_pair_similarity`` stays the kernel for one pair: the merge loop and
-the store's appends.
+run once over the blocks. A fire hands over its fill block too: the fresh
+frames' row norms and adjacent row dots then take groups of ``_GROUP`` (4)
+rows through one (4, N, D) scratch, and the relevance gate sums their tokens
+in one reduction of the block. Context seeds in front of the block go
+through the per-frame code. Only the fill block holds more than four
+frames' tokens. ``frame_pair_similarity`` stays the kernel for one pair: the
+merge loop and the store's appends.
 
 Large frames split their rows across two threads. When a frame holds at
 least ``_SPLIT_VALUES`` (2**16) values and two or more rows, and the process
@@ -143,6 +150,8 @@ _F32 = np.dtype(np.float32)
 _SPLIT_VALUES = 1 << 16
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
+# rows of a fill block that _adjacent_similarities multiplies in one call
+_GROUP = 4
 # held by the one caller whose rows the worker is running
 _split_lock = threading.Lock()
 # (jobs, results, thread) of the mces-rows thread, once a large frame starts it
@@ -281,7 +290,7 @@ def _window_rows(lo, hi, frames, cached, nn, cos, scratch):
                       out=row[lo:hi])
 
 
-def as_token_matrix(x) -> np.ndarray:
+def as_token_matrix(x, _into: np.ndarray | None = None) -> np.ndarray:
     """Validate an array-like as an (N, D) token matrix.
 
     Returns a read-only float64 C-contiguous copy, always: the caller's
@@ -289,6 +298,10 @@ def as_token_matrix(x) -> np.ndarray:
     Rejects anything that is not 2-dimensional with N >= 1 and D >= 1, any
     non-finite entry, and a matrix whose float64 sum of squares is above
     half the largest float64 (its norms would overflow a similarity).
+    ``_into``, a writable C-contiguous float64 row of a fill block, takes
+    the copy when the input has its shape, and is returned read-only; a
+    refused input may have written it. Any other shape gets a fresh copy,
+    so the checks and their order are the same.
 
     A float32 frame with entries near 1e19 and up overflows its float32 sum
     of squares and is accepted after the scan, but numpy warns "overflow
@@ -305,7 +318,12 @@ def as_token_matrix(x) -> np.ndarray:
     # it on the caller while the worker copies its rows.
     sumsq = None
     if type(x) is np.ndarray:
-        if x.size >= _SPLIT_VALUES:
+        if _into is not None and x.shape == _into.shape:
+            # astype's values and warnings, into the caller's row
+            a = _into
+            a[...] = x
+            v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else a.ravel()
+        elif x.size >= _SPLIT_VALUES:
             a = np.empty(x.shape)
             v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else None
             sumsq = _split_rows(_copy_rows, len(x), a, x,
@@ -316,6 +334,9 @@ def as_token_matrix(x) -> np.ndarray:
             v = x.ravel() if x.dtype == _F32 and x.flags.c_contiguous else a.ravel()
     else:
         a = np.array(x, dtype=np.float64, order="C")
+        if _into is not None and a.shape == _into.shape:
+            _into[...] = a
+            a = _into
         v = a.ravel()
     if a.ndim != 2:
         raise DimensionMismatch(f"token matrix must be 2-D, got shape {a.shape}")
@@ -572,18 +593,23 @@ def _pair_mean(a: WeightedFrame, b: WeightedFrame, cos: np.ndarray) -> float:
     return float(np.add.reduce(cos) / cos.shape[0])
 
 
-def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
+def _adjacent_similarities(frames: Sequence[WeightedFrame],
+                           _block: np.ndarray | None = None) -> list[float]:
     """Bitwise ``[frame_pair_similarity(a, b)]`` over adjacent pairs, in whole-window calls.
 
     A frame whose norms are not cached yet caches an owned copy of its norm
     row, so no stored frame keeps the window's block alive. A window with two
     frame shapes or a row below NORM_FLOOR runs the per-pair loop, which
-    raises what it raises on its own.
+    raises what it raises on its own. ``_block``, an (m, N, D) fill block
+    whose rows are the tokens of the last m frames, takes their norms and
+    dots over groups of ``_GROUP`` rows; the frames before it go one by one.
     """
     if len(frames) < 2:
         return []
     shape = frames[0].tokens.shape
-    if any(f.tokens.shape != shape for f in frames):
+    front = len(frames) if _block is None else len(frames) - len(_block)
+    if (any(f.tokens.shape != shape for f in frames[:front])
+            or _block is not None and _block.shape[1:] != shape):
         return _refused_pairs(frames)
     n = shape[0]
     split = math.prod(shape) >= _SPLIT_VALUES
@@ -596,9 +622,15 @@ def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
         # the dots too, in the same join; a refused window wastes them
         _split_rows(_window_rows, n, frames, cached, nn, cos, scratch)
     else:
-        for f, norms, row in zip(frames, cached, nn):
+        for f, norms, row in zip(frames[:front], cached, nn):
             if norms is None:
                 np.add.reduce(np.multiply(f.tokens, f.tokens, out=scratch), axis=1, out=row)
+        if _block is not None:
+            group = np.empty((_GROUP, *shape))
+            for i in range(0, len(_block), _GROUP):
+                rows = _block[i:i + _GROUP]
+                np.add.reduce(np.multiply(rows, rows, out=group[:len(rows)]), axis=2,
+                              out=nn[front + i:front + i + len(rows)])
     np.sqrt(nn, out=nn)
     for norms, row in zip(cached, nn):
         if norms is not None:
@@ -611,8 +643,16 @@ def _adjacent_similarities(frames: Sequence[WeightedFrame]) -> list[float]:
             owned.setflags(write=False)
             f.__dict__.update(norms=owned, _bad_row=-1)
     if not split:
-        for a, b, row in zip(frames, frames[1:], cos):
+        # every pair that has a frame before the block, then the block's own
+        pairs = min(front, len(frames) - 1)
+        for a, b, row in zip(frames[:pairs], frames[1:], cos):
             np.add.reduce(np.multiply(a.tokens, b.tokens, out=scratch), axis=1, out=row)
+        if _block is not None:
+            for i in range(0, len(_block) - 1, _GROUP):
+                k = min(_GROUP, len(_block) - 1 - i)
+                np.add.reduce(np.multiply(_block[i:i + k], _block[i + 1:i + 1 + k],
+                                          out=group[:k]), axis=2,
+                              out=cos[front + i:front + i + k])
     np.divide(cos, np.multiply(nn[:-1], nn[1:]), out=cos)
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)

@@ -78,6 +78,14 @@ _EMA_DECAY = 0.5
 _MAX_GRID_POINTS = 1024
 
 
+def _listed(name: str, value) -> tuple:
+    # a list or tuple as a tuple; a string would read as its characters and a
+    # scalar would fail bare, so either is refused by name
+    if not isinstance(value, (list, tuple)):
+        raise InvalidSpec(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a harness driver needs to reproduce a run.
@@ -101,6 +109,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if (self.synthetic is None) == (self.stream_file is None):
             raise InvalidSpec("exactly one of synthetic and stream_file must be set")
+        object.__setattr__(self, "policies", _listed("policies", self.policies))
+        object.__setattr__(self, "seeds", _listed("seeds", self.seeds))
         if not self.policies:
             raise InvalidSpec("at least one policy is required")
         for p in self.policies:
@@ -124,11 +134,11 @@ class ExperimentSpec:
             key = PARAM_ALIASES.get(key, key)
             if key not in PARAMS:
                 raise InvalidSpec(f"unknown sweep axis {key!r}; known: {tuple(PARAMS)}")
+            values = _listed(f"sweep axis {key!r}", values)
             if not values:
                 raise InvalidSpec(f"sweep axis {key!r} has no values")
-            sweep.append((key, tuple(values)))
+            sweep.append((key, values))
         object.__setattr__(self, "sweep", tuple(sweep))
-        object.__setattr__(self, "policies", tuple(self.policies))
         object.__setattr__(self, "seeds", seeds)
         if self.question is not None:
             _question(self.question)  # finite, in range and 1-D, as the pipeline reads it

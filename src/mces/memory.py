@@ -6,6 +6,21 @@ frame that triggered the overflow. Context seeds put in front of that frame
 by ``seed`` count against capacity, so the next fill completes after
 capacity - len(seeds) fresh pushes.
 
+Below ``frames._SPLIT_VALUES`` values a frame (and ``_BLOCK_VALUES`` a fill),
+the buffer keeps a fill's fresh frames as consecutive read-only rows of one
+(capacity, N, D) float64 block: each accepted push is checked and copied
+straight into its row, and a refused push takes no row. These frames do not
+own their tokens. The block is allocated at the first push after a pop, a
+drain or a reset, never at the trigger, so a fire holds one block; that
+push first repacks the fresh frames buffered after the last seed (the
+trigger, or what a rollback or a snapshot resume put back) into its first
+rows. A pop or drain hands the used rows to the pipeline's fire
+(``_take_block``) for the relevance gate and the merge prologue. Before
+banking, the fire copies each fresh frame that survives unmerged out of the
+block, so no long-term entry keeps it alive; once the fire ends, the window
+is its last holder. Context seeds are never copied in: they keep sharing
+their tokens with their long-term entries. Large frames keep one array each.
+
 The long-term store is built with the frame shape, like the buffer. It
 appends consolidated frames of that shape only, with strictly increasing
 position ids, and whenever it outgrows its cap it greedily merges the most
@@ -35,6 +50,7 @@ from .errors import (
 )
 from .consolidation import _merge_down
 from .frames import (
+    _SPLIT_VALUES,
     WeightedFrame,
     _adjacent_similarities,
     as_token_matrix,
@@ -53,6 +69,11 @@ __all__ = [
 ]
 
 
+# a fill block holds at most this many values (32 MiB); a larger capacity
+# keeps one array per frame, so a short stream never reserves a huge buffer
+_BLOCK_VALUES = 1 << 22
+
+
 def _frame_shape(n_tokens: int, dims: int) -> tuple[int, int]:
     # the (n_tokens, dims) a store's frames must have, as ints by checked;
     # InvalidSpec unless both are >= 1
@@ -65,7 +86,9 @@ def _frame_shape(n_tokens: int, dims: int) -> tuple[int, int]:
 class ShortTermBuffer:
     """Fixed-capacity FIFO of weighted frames with overflow popping.
 
-    Each popped fill is one window: it is consolidated as a whole.
+    Each popped fill is one window: it is consolidated as a whole. Below
+    ``_BLOCK_VALUES`` values a fill, its fresh frames are rows of one block
+    (module docstring).
     """
 
     def __init__(self, capacity: int, n_tokens: int, dims: int):
@@ -75,6 +98,14 @@ class ShortTermBuffer:
         self.n_tokens, self.dims = self._shape = _frame_shape(n_tokens, dims)
         self._frames: list[WeightedFrame] = []
         self._next_source_index = 0
+        size = self.n_tokens * self.dims
+        self._blocked = size < _SPLIT_VALUES and capacity * size <= _BLOCK_VALUES
+        # the fill's block and its unused rows, last row first; None until
+        # the first push after a pop, a drain or a reset
+        self._block: np.ndarray | None = None
+        self._spare: list[np.ndarray] = []
+        # the used rows of the block the last pop or drain took, until taken
+        self._popped: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -100,19 +131,56 @@ class ShortTermBuffer:
         next one. Each accepted push consumes one source index for provenance;
         a refused one (bad values, then a wrong shape) consumes none.
         """
-        tokens = as_token_matrix(frame)
+        # the trigger of a pop gets its own array: the next push repacks it
+        full = len(self._frames) >= self.capacity
+        if not (full or self._spare) and self._blocked:
+            self._repack()
+        row = self._spare[-1] if self._spare and not full else None
+        tokens = as_token_matrix(frame, row)
         if tokens.shape != self._shape:
             self._check_shape(tokens)  # raises ShapeMismatch
         # the index is never negative, so unit_interval's check is not repeated
         i = self._next_source_index
         wrapped = WeightedFrame._trusted(tokens, 1, ((i, i + 1, 1),), False)
         self._next_source_index = i + 1
-        if len(self._frames) >= self.capacity:
+        if full:
             popped = self._frames
             self._frames = [wrapped]
+            self._pop_block()
             return popped
         self._frames.append(wrapped)
+        if row is not None:
+            self._spare.pop()
         return None
+
+    def _repack(self) -> None:
+        # start a block: the buffered fresh frames after the last context
+        # seed move into its first rows, as new frames with the same fields
+        self._popped = None
+        self._block = np.empty((self.capacity, *self._shape))
+        self._spare = list(self._block)[::-1]
+        start = len(self._frames)
+        while start and not self._frames[start - 1].context_flag:
+            start -= 1
+        for k in range(start, len(self._frames)):
+            f, row = self._frames[k], self._spare.pop()
+            np.copyto(row, f.tokens)
+            row.setflags(write=False)
+            self._frames[k] = WeightedFrame._trusted(
+                row, f.weight, f.provenance, False, f.__dict__.get("norms"),
+                f.__dict__.get("_bad_row", -1))
+
+    def _pop_block(self) -> None:
+        # hand the block's used rows to _take_block; the next push starts a new one
+        used = 0 if self._block is None else len(self._block) - len(self._spare)
+        self._popped = self._block[:used] if used else None
+        self._block, self._spare = None, []
+
+    def _take_block(self) -> np.ndarray | None:
+        # the (m, N, D) rows of the last popped or drained window's last m
+        # frames, or None; once, so the caller's fire is its last holder
+        block, self._popped = self._popped, None
+        return block
 
     def seed(self, seeds: Sequence[WeightedFrame]) -> None:
         """Put carried-over context frames in front of the buffered ones.
@@ -132,16 +200,36 @@ class ShortTermBuffer:
     def drain(self) -> list[WeightedFrame]:
         """Remove and return everything currently buffered."""
         frames, self._frames = self._frames, []
+        self._pop_block()
         return frames
 
     def _reset(self, frames: Sequence[WeightedFrame], next_source_index: int) -> None:
         # put back already-wrapped frames and the next source index: a failed
         # fire or flush rolls back with it, and a snapshot resumes with it;
-        # callers keep the frames within capacity
+        # callers keep the frames within capacity. The block is dropped, so
+        # the next push repacks
         for frame in frames:
             self._check_shape(frame.tokens)
         self._frames = list(frames)
         self._next_source_index = next_source_index
+        self._block, self._spare, self._popped = None, [], None
+
+
+def _owned(frames: list[WeightedFrame], block: np.ndarray | None) -> list[WeightedFrame]:
+    # frames with each one whose tokens are a row of block's array copied
+    # out, so that banking them does not keep the fill's block alive
+    if block is None:
+        return frames
+    base = block.base
+    out = []
+    for f in frames:
+        if f.tokens.base is base:
+            tokens = f.tokens.copy()
+            tokens.setflags(write=False)
+            f = WeightedFrame._trusted(tokens, f.weight, f.provenance, f.context_flag,
+                                       f.__dict__.get("norms"), f.__dict__.get("_bad_row", -1))
+        out.append(f)
+    return out
 
 
 class LongTermMemory:

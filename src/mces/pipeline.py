@@ -42,7 +42,7 @@ from .errors import (
     ZeroNorm,
 )
 from .frames import NORM_FLOOR, WeightedFrame, _norm, _vector
-from .memory import LongTermMemory, ShortTermBuffer
+from .memory import LongTermMemory, ShortTermBuffer, _owned
 
 __all__ = [
     "REINIT_MODES",
@@ -77,13 +77,15 @@ def _question(question):
 
 
 def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationConfig,
-                *, _residue: bool = False):
+                *, _residue: bool = False, _block=None):
     """Gate a window on question relevance, then merge to the gated budget.
 
     With no question, the window keeps the full base_target budget
     (question-agnostic mode). ``_residue`` marks the end-of-stream residue:
     its budget is the gated target scaled by its length relative to a full
-    fill, within [1, len]. Returns (frames, report).
+    fill, within [1, len]. ``_block``, the fill block that holds the last
+    frames' tokens as rows, goes to the gate and the merge prologue.
+    Returns (frames, report).
     """
     frames = list(frames)
     if not frames:
@@ -92,7 +94,7 @@ def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationCon
         score = relevant = None
         target = cfg.base_target
     else:
-        score = relevance_score(frames, question)
+        score = relevance_score(frames, question, _block=_block)
         # the threshold is strict: score == sigma takes the reduced budget
         relevant = score > cfg.sigma
         target = cfg.base_target if relevant else cfg.weak_target()
@@ -100,7 +102,7 @@ def consolidate(frames: Sequence[WeightedFrame], question, cfg: ConsolidationCon
         # ceil(target * len / capacity) in exact integer arithmetic
         scaled = -(-target * len(frames) // cfg.capacity)
         target = min(max(scaled, 1), len(frames))
-    out, report = greedy_merge(frames, target)
+    out, report = greedy_merge(frames, target, _block=_block)
     return out, replace(report, relevance=score, relevant=relevant)
 
 
@@ -142,18 +144,20 @@ class Pipeline:
             raise InvalidSpec(
                 "re-initialization needs base_target < capacity, otherwise every "
                 f"fill would seed {cfg.base_target} >= {cfg.capacity} frames")
+        # the stores check the sizes before the question is held to them
+        self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims)
+        self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
         self.question = None
         if question is not None:
             q = _question(question)
-            if q.shape[0] != dims:
-                raise InvalidSpec(f"question shape {q.shape} does not match dims {dims}")
+            if q.shape[0] != self.short.dims:
+                raise InvalidSpec(
+                    f"question shape {q.shape} does not match dims {self.short.dims}")
             if _norm(q) < NORM_FLOOR:
                 raise ZeroNorm("question vector has near-zero norm")
             self.question = q
         self.cfg = cfg
         self.reinit_mode = reinit_mode
-        self.short = ShortTermBuffer(cfg.capacity, n_tokens, dims)
-        self.long = LongTermMemory(ltm_capacity, n_tokens, dims)
         self.consolidations_run = 0
         self.consolidation_input_total = 0
         self._banked_peak = 0
@@ -200,9 +204,13 @@ class Pipeline:
               residue: bool = False) -> tuple[list[WeightedFrame], ConsolidationReport]:
         # consolidate a window taken from the buffer, bank the result and count
         # it. The append is all or nothing: on any raise nothing is counted and
-        # the window goes back with next_source_index, as the pipeline was
+        # the window goes back with next_source_index, as the pipeline was.
+        # Frames that survive unmerged from the fill block bank as copies
+        block = self.short._take_block()
         try:
-            out, report = consolidate(window, self.question, self.cfg, _residue=residue)
+            out, report = consolidate(window, self.question, self.cfg, _residue=residue,
+                                      _block=block)
+            out = _owned(out, block)
             resident = len(self.short) + len(self.long) + len(window) + len(out)
             self.long.append(out)
         except BaseException:

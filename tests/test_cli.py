@@ -302,6 +302,18 @@ class TestConfigFile:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("policies", "ema", "policies must be a list, got 'ema'"),
+        ("seeds", 3, "seeds must be a list, got 3"),
+        ("sweep", {"m0": 2}, "sweep axis 'm0' must be a list, got 2"),
+    ])
+    def test_a_string_or_scalar_list_key_exits_2_naming_it(self, tmp_path, capsys, key,
+                                                           value, message):
+        cpath = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", cpath, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_garbled_config_exit_2(self, tmp_path):
         cpath = tmp_path / "bad.json"
         cpath.write_text("{")

@@ -75,6 +75,24 @@ class TestExperimentSpec:
         with pytest.raises(InvalidSpec):
             ExperimentSpec(synthetic=tiny_synth(), seeds=(-1,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("policies", "ema"), ("policies", 3), ("seeds", 3), ("seeds", "01")])
+    def test_a_string_or_scalar_list_field_is_refused_by_name(self, field, value):
+        # a string would read as its characters, a scalar fail bare
+        with pytest.raises(InvalidSpec, match=f"^{field} must be a list, got {value!r}$"):
+            ExperimentSpec(synthetic=tiny_synth(), **{field: value})
+
+    @pytest.mark.parametrize("value", [4, "48"])
+    def test_a_scalar_sweep_axis_is_refused_by_name(self, value):
+        with pytest.raises(InvalidSpec, match="^sweep axis 'm0' must be a list"):
+            ExperimentSpec(synthetic=tiny_synth(), sweep=(("m0", value),))
+
+    def test_list_fields_are_held_as_tuples(self):
+        spec = ExperimentSpec(synthetic=tiny_synth(), policies=["ema"], seeds=[2, 1],
+                              sweep=(("k", [8, 16]),))
+        assert (spec.policies, spec.seeds, spec.sweep) == (("ema",), (2, 1),
+                                                           (("k", (8, 16)),))
+
     def test_sweep_axis_aliases_normalize(self):
         spec = ExperimentSpec(synthetic=tiny_synth(),
                               sweep=(("l_short", (8, 16)), ("l_long", (64,))))

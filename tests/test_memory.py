@@ -111,9 +111,9 @@ class TestShortTermBuffer:
         calls = []
         original = mces.frames.as_token_matrix
 
-        def counting(x):
+        def counting(x, *args, **kwargs):
             calls.append(1)
-            return original(x)
+            return original(x, *args, **kwargs)
 
         monkeypatch.setattr(mces.frames, "as_token_matrix", counting)
         monkeypatch.setattr(mces.memory, "as_token_matrix", counting)

@@ -62,6 +62,12 @@ class TestConstruction:
         with pytest.raises(InvalidSpec, match="must be of type int"):
             Pipeline(sizes["n_tokens"], sizes["dims"], ltm_capacity=sizes["ltm_capacity"])
 
+    @pytest.mark.parametrize("dims", [2.5, True])
+    def test_sizes_are_checked_before_the_question(self, dims):
+        # the question's two values would otherwise be compared with dims
+        with pytest.raises(InvalidSpec, match="dims must be of type int"):
+            Pipeline(2, dims, question=[0.6, 0.8])
+
     def test_numpy_int_sizes_are_read_as_ints(self):
         pipe = Pipeline(np.int64(2), np.int32(4), ltm_capacity=np.uint16(8))
         sizes = (pipe.short.n_tokens, pipe.short.dims, pipe.long.capacity)
